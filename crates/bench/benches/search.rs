@@ -10,12 +10,11 @@
 //!   per-chain length: with ≥ 4 cores the 4x search effort should cost
 //!   roughly one chain's wall time.
 //! * `waterfill_components` — a fabric-reconfiguration-heavy sharded
-//!   workload whose event batches re-waterfill many disjoint components;
-//!   `serial` pins `RAYON_NUM_THREADS=1`, `parallel` uses all cores.
+//!   workload whose event batches re-waterfill many disjoint components,
+//!   one after another on the engine's pooled scratch.
 //!
 //! Run with `cargo bench -p topoopt-bench --bench search`; record the
-//! incremental/reference and serial/parallel ratios in CHANGES.md
-//! PR-over-PR.
+//! incremental/reference ratio in CHANGES.md PR-over-PR.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use topoopt_bench::compute_params;
@@ -69,8 +68,7 @@ fn bench_mcmc_chains(c: &mut Criterion) {
 
 /// `rings` disjoint rings with neighbour and 3-hop flows per node, plus
 /// `reconfigs` scheduled fabric swaps (to the same capacities): every swap
-/// re-waterfills all rings in one event batch — the multi-component case
-/// the engine fans out to rayon threads.
+/// re-waterfills all rings in one event batch — the multi-component case.
 fn reconfig_heavy_shards(rings: usize, size: usize, reconfigs: usize) -> f64 {
     let mut g = Graph::new(rings * size);
     for r in 0..rings {
@@ -105,12 +103,7 @@ fn bench_waterfill_components(c: &mut Criterion) {
     group.sample_size(10);
     for &(rings, size) in &[(16usize, 12usize), (32, 16)] {
         let label = format!("{rings}x{size}");
-        group.bench_with_input(BenchmarkId::new("serial", &label), &label, |b, _| {
-            std::env::set_var("RAYON_NUM_THREADS", "1");
-            b.iter(|| reconfig_heavy_shards(rings, size, 20));
-            std::env::remove_var("RAYON_NUM_THREADS");
-        });
-        group.bench_with_input(BenchmarkId::new("parallel", &label), &label, |b, _| {
+        group.bench_with_input(BenchmarkId::new("reconfig_heavy", &label), &label, |b, _| {
             b.iter(|| reconfig_heavy_shards(rings, size, 20))
         });
     }

@@ -6,6 +6,7 @@
 //! with [`path_length_cdf`].
 
 use crate::graph::{Graph, NodeId};
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -13,37 +14,66 @@ use std::collections::{BinaryHeap, VecDeque};
 /// the destination.
 pub type NodePath = Vec<NodeId>;
 
+/// Per-thread search state reused across [`bfs_shortest_path`] calls, so a
+/// call costs O(nodes it visits) rather than O(graph size): a node counts as
+/// seen only when its stamp equals the current epoch, so nothing is zeroed
+/// between searches, and `prev` is only read for nodes seen this epoch.
+#[derive(Default)]
+struct BfsScratch {
+    epoch: u64,
+    seen: Vec<u64>,
+    prev: Vec<NodeId>,
+    queue: VecDeque<NodeId>,
+}
+
+thread_local! {
+    static BFS_SCRATCH: RefCell<BfsScratch> = RefCell::new(BfsScratch::default());
+}
+
 /// BFS shortest path by hop count. Returns `None` if `dst` is unreachable.
+///
+/// Neighbours are expanded in ascending id order (as
+/// [`Graph::out_neighbors`] lists them), so among equal-length paths the
+/// result is deterministic.
 pub fn bfs_shortest_path(g: &Graph, src: NodeId, dst: NodeId) -> Option<NodePath> {
     if src == dst {
         return Some(vec![src]);
     }
-    let n = g.num_nodes();
-    let mut prev: Vec<Option<NodeId>> = vec![None; n];
-    let mut seen = vec![false; n];
-    let mut q = VecDeque::new();
-    seen[src] = true;
-    q.push_back(src);
-    while let Some(u) = q.pop_front() {
-        for v in g.out_neighbors(u) {
-            if !seen[v] {
-                seen[v] = true;
-                prev[v] = Some(u);
-                if v == dst {
-                    return Some(reconstruct(&prev, src, dst));
+    BFS_SCRATCH.with(|scratch| {
+        let s = &mut *scratch.borrow_mut();
+        let n = g.num_nodes();
+        if s.seen.len() < n {
+            s.seen.resize(n, 0);
+            s.prev.resize(n, 0);
+        }
+        s.epoch += 1;
+        let epoch = s.epoch;
+        s.queue.clear();
+        s.seen[src] = epoch;
+        s.queue.push_back(src);
+        while let Some(u) = s.queue.pop_front() {
+            for v in g.out_neighbors(u) {
+                if s.seen[v] != epoch {
+                    s.seen[v] = epoch;
+                    s.prev[v] = u;
+                    if v == dst {
+                        return Some(reconstruct(&s.prev, src, dst));
+                    }
+                    s.queue.push_back(v);
                 }
-                q.push_back(v);
             }
         }
-    }
-    None
+        None
+    })
 }
 
-fn reconstruct(prev: &[Option<NodeId>], src: NodeId, dst: NodeId) -> NodePath {
+/// Walk `prev` back from `dst` to `src`; every node on the way must have
+/// been reached by the search that filled `prev`.
+fn reconstruct(prev: &[NodeId], src: NodeId, dst: NodeId) -> NodePath {
     let mut path = vec![dst];
     let mut cur = dst;
     while cur != src {
-        cur = prev[cur].expect("path reconstruction broke");
+        cur = prev[cur];
         path.push(cur);
     }
     path.reverse();
@@ -100,7 +130,7 @@ where
 {
     let n = g.num_nodes();
     let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<NodeId>> = vec![None; n];
+    let mut prev: Vec<NodeId> = vec![src; n];
     let mut heap = BinaryHeap::new();
     dist[src] = 0.0;
     heap.push(HeapItem { cost: 0.0, node: src });
@@ -116,7 +146,7 @@ where
             let next = cost + c;
             if next < dist[e.dst] {
                 dist[e.dst] = next;
-                prev[e.dst] = Some(node);
+                prev[e.dst] = node;
                 heap.push(HeapItem { cost: next, node: e.dst });
             }
         }

@@ -25,8 +25,8 @@
 //!   in) and freezes flows in the same position order, so the flat and
 //!   map-keyed water-fillers produce bit-identical rates;
 //! * results must not depend on thread count: the water-filler is a pure
-//!   function of the arena and the spans, safe to run concurrently per
-//!   component with rates applied in deterministic component order.
+//!   function of the arena and the spans, so sharded event loops can run
+//!   it on separate threads, and shard results merge in component order.
 
 use crate::fluid::LinkKey;
 use std::collections::HashMap;

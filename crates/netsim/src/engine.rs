@@ -43,9 +43,10 @@
 //! slice of the fabric, this turns every event from an O(all flows)
 //! recomputation into an O(one job) one; [`EngineStats::max_component`]
 //! makes the effect observable. When one event batch touches *several*
-//! disjoint components, their water-filling passes additionally run on
-//! separate rayon threads, with rates applied in deterministic component
-//! order afterwards.
+//! disjoint components, each is water-filled in turn on the calling thread,
+//! reusing one pooled scratch, with rates applied in component order.
+//! (A rayon fan-out per batch was measured slower at every size tried:
+//! each batch is short, and the vendored pool spawns threads per call.)
 //!
 //! # Sharded event loops
 //!
@@ -911,16 +912,9 @@ impl FluidEngine {
                 sub
             })
             .collect();
-        let subs: Vec<FluidEngine> = subs
-            .into_par_iter()
-            .map(|mut sub| {
-                sub.run_monolithic();
-                sub
-            })
-            .collect();
-        for (ids, sub) in shards.iter().zip(&subs) {
-            for (k, &f) in ids.iter().enumerate() {
-                let done = &sub.flows[k];
+        let outcomes: Vec<ShardOutcome> = subs.into_par_iter().map(ShardOutcome::run).collect();
+        for (ids, out) in shards.iter().zip(&outcomes) {
+            for (&f, done) in ids.iter().zip(&out.flows) {
                 let flow = &mut self.flows[f];
                 flow.state = done.state;
                 flow.remaining_bytes = done.remaining_bytes;
@@ -929,18 +923,18 @@ impl FluidEngine {
                 flow.version = flow.version.max(done.version) + 1;
                 flow.completion_s = done.completion_s;
             }
-            for (sid, &bytes) in sub.link_bytes.iter().enumerate() {
+            for &(key, bytes) in &out.link_bytes {
                 let gid = self
                     .links
-                    .lookup(sub.links.key(dense_u32(sid)))
+                    .lookup(key)
                     // lint:allow(panic-in-engine): every shard link was copied
                     // out of the parent arena at shard build.
                     .expect("shard links are interned in the parent");
                 self.link_bytes[gid as usize] = bytes;
             }
-            self.stats.absorb(&sub.stats);
-            self.now_s = self.now_s.max(sub.now_s);
-            self.next_seq = self.next_seq.max(sub.next_seq);
+            self.stats.absorb(&out.stats);
+            self.now_s = self.now_s.max(out.now_s);
+            self.next_seq = self.next_seq.max(out.next_seq);
         }
         for v in &mut self.active_on_link {
             v.clear();
@@ -1199,154 +1193,141 @@ impl FluidEngine {
     /// Re-waterfill every connected component (over link sharing) that
     /// contains a seed flow. Disjoint components — e.g. two jobs whose
     /// rounds end at the same instant on separate shards, or a wave of
-    /// t = 0 arrivals across all shards — are re-rated independently, and
-    /// their water-filling passes run on separate rayon threads when the
-    /// batch is large enough to pay for the fan-out (see
-    /// [`PARALLEL_WATERFILL_MIN_FLOWS`]). Rates are collected in component
-    /// order and applied sequentially, so results and event ordering are
-    /// identical to the serial path regardless of thread count.
+    /// t = 0 arrivals across all shards — are re-rated independently, one
+    /// after another in seed order on the calling thread, with pooled
+    /// scratch buffers.
+    ///
+    /// Each component is re-rated as soon as it is gathered: re-rating
+    /// touches only the component's own flows and links, so it cannot
+    /// change what a later seed gathers.
     fn recompute_components(&mut self, seeds: &[FlowId]) {
-        // Phase 1: gather the touched components by BFS over the flow/link
-        // sharing graph (components are disjoint by construction), using
-        // epoch-stamped marks instead of per-event set allocations. Links
-        // visited by one component can never belong to another in the same
-        // batch — a shared link would have merged the components.
         self.epoch += 1;
         let epoch = self.epoch;
-        let mut components: Vec<Vec<FlowId>> = Vec::new();
-        {
-            let flows = &self.flows;
-            let flow_links = &self.flow_links;
-            let active_on_link = &self.active_on_link;
-            let flow_mark = &mut self.flow_mark;
-            let link_mark = &mut self.link_mark;
-            for &s in seeds {
-                if flows[s].state != FlowState::Active || flow_mark[s] == epoch {
+        let mut component: Vec<FlowId> = Vec::new();
+        let mut frontier: Vec<FlowId> = Vec::new();
+        let mut live: Vec<FlowId> = Vec::new();
+        for &s in seeds {
+            if self.flows[s].state != FlowState::Active || self.flow_mark[s] == epoch {
+                continue;
+            }
+            self.gather_component(s, epoch, &mut component, &mut frontier);
+            self.rerate_component(&component, &mut live);
+        }
+    }
+
+    /// Collect `seed`'s connected component (ascending) by BFS over the
+    /// flow/link sharing graph, marking flows and links with `epoch`
+    /// instead of allocating per-event sets. Links visited by one
+    /// component can never belong to another in the same batch — a shared
+    /// link would have merged the components.
+    fn gather_component(
+        &mut self,
+        seed: FlowId,
+        epoch: u64,
+        component: &mut Vec<FlowId>,
+        frontier: &mut Vec<FlowId>,
+    ) {
+        component.clear();
+        frontier.clear();
+        self.flow_mark[seed] = epoch;
+        component.push(seed);
+        frontier.push(seed);
+        while let Some(f) = frontier.pop() {
+            let start = self.flows[f].links_start;
+            let end = start + self.flows[f].spec.hops();
+            for &link in &self.flow_links[start..end] {
+                let lid = link as usize;
+                if self.link_mark[lid] == epoch {
                     continue;
                 }
-                flow_mark[s] = epoch;
-                let mut component: Vec<FlowId> = vec![s];
-                let mut frontier: Vec<FlowId> = vec![s];
-                while let Some(f) = frontier.pop() {
-                    let start = flows[f].links_start;
-                    let end = start + flows[f].spec.hops();
-                    for &link in &flow_links[start..end] {
-                        let lid = link as usize;
-                        if link_mark[lid] == epoch {
-                            continue;
-                        }
-                        link_mark[lid] = epoch;
-                        for &g in &active_on_link[lid] {
-                            if flow_mark[g] != epoch {
-                                flow_mark[g] = epoch;
-                                component.push(g);
-                                frontier.push(g);
-                            }
-                        }
+                self.link_mark[lid] = epoch;
+                for &g in &self.active_on_link[lid] {
+                    if self.flow_mark[g] != epoch {
+                        self.flow_mark[g] = epoch;
+                        component.push(g);
+                        frontier.push(g);
                     }
                 }
-                component.sort_unstable();
-                components.push(component);
             }
         }
+        component.sort_unstable();
+    }
 
-        // Phase 2 (sequential, mutates shared state): settle each member,
-        // finish any that already ran dry (exact ties with the event that
-        // triggered this recompute, like the reference loop completing
-        // several flows in one step), and keep the rest for re-rating.
-        let mut live_sets: Vec<Vec<FlowId>> = Vec::with_capacity(components.len());
-        for ids in &components {
-            let mut live: Vec<FlowId> = Vec::with_capacity(ids.len());
-            for &f in ids {
-                self.settle(f);
-                // The threshold is relative to the flow size so that
-                // equal-share flows predicted to finish at float-identical
-                // instants all complete on the first of their events (one
-                // waterfill instead of one per flow); the time error is
-                // O(1e-12) of the transfer.
-                let eps = COMPLETION_EPS_BYTES.max(self.flows[f].spec.bytes * 1e-12);
-                if self.flows[f].remaining_bytes <= eps {
-                    self.finish_now(f);
-                } else {
-                    live.push(f);
-                }
-            }
-            self.stats.waterfills += 1;
-            self.stats.flows_rerated += live.len();
-            self.stats.max_component = self.stats.max_component.max(live.len());
-            live_sets.push(live);
-        }
-
-        // Phase 3 (read-only): water-fill each component. Parallel when the
-        // batch spans several components with enough total work; the
-        // sequential path reuses the engine's pooled scratch buffers, the
-        // parallel one gives each rayon task its own (every buffer is
-        // fully rewritten per pass, so pooling cannot change results).
-        let populated = live_sets.iter().filter(|l| !l.is_empty()).count();
-        let total_live: usize = live_sets.iter().map(|l| l.len()).sum();
-        let rate_sets: Vec<Vec<f64>> =
-            if populated > 1 && total_live >= PARALLEL_WATERFILL_MIN_FLOWS {
-                let links = &self.links;
-                let flows = &self.flows;
-                let flow_links = &self.flow_links;
-                let stragglers = &self.stragglers;
-                live_sets
-                    .par_iter()
-                    .map(|live| {
-                        waterfill_live(
-                            links,
-                            flow_links,
-                            flows,
-                            stragglers,
-                            live,
-                            &mut Default::default(),
-                        )
-                    })
-                    .collect()
+    /// Re-rate one gathered component: settle each member, finish any that
+    /// already ran dry (exact ties with the event that triggered this
+    /// recompute, like the reference loop completing several flows in one
+    /// step), water-fill the rest on the engine's pooled scratch (every
+    /// buffer is fully rewritten per pass, so pooling cannot change
+    /// results), apply the new rates and reschedule completion predictions.
+    fn rerate_component(&mut self, component: &[FlowId], live: &mut Vec<FlowId>) {
+        live.clear();
+        for &f in component {
+            self.settle(f);
+            // The threshold is relative to the flow size so that
+            // equal-share flows predicted to finish at float-identical
+            // instants all complete on the first of their events (one
+            // waterfill instead of one per flow); the time error is
+            // O(1e-12) of the transfer.
+            let eps = COMPLETION_EPS_BYTES.max(self.flows[f].spec.bytes * 1e-12);
+            if self.flows[f].remaining_bytes <= eps {
+                self.finish_now(f);
             } else {
-                let mut scratch = std::mem::take(&mut self.wf_scratch);
-                let rates = live_sets
-                    .iter()
-                    .map(|live| {
-                        waterfill_live(
-                            &self.links,
-                            &self.flow_links,
-                            &self.flows,
-                            &self.stragglers,
-                            live,
-                            &mut scratch,
-                        )
-                    })
-                    .collect();
-                self.wf_scratch = scratch;
-                rates
-            };
-
-        // Phase 4 (sequential, deterministic order): apply the new rates
-        // and reschedule completion predictions.
-        for (live, rates) in live_sets.iter().zip(rate_sets) {
-            let mut to_schedule: Vec<(f64, EventKind)> = Vec::new();
-            for (pos, &f) in live.iter().enumerate() {
-                let rate = rates[pos];
-                let flow = &mut self.flows[f];
-                flow.rate_bps = rate;
-                flow.version += 1;
-                if rate > 0.0 {
-                    let t = self.now_s + flow.remaining_bytes * 8.0 / rate;
-                    to_schedule.push((t, EventKind::Completion { flow: f, version: flow.version }));
-                }
+                live.push(f);
             }
-            for (t, kind) in to_schedule {
-                self.push_event(t, kind);
+        }
+        self.stats.waterfills += 1;
+        self.stats.flows_rerated += live.len();
+        self.stats.max_component = self.stats.max_component.max(live.len());
+        let rates = waterfill_live(
+            &self.links,
+            &self.flow_links,
+            &self.flows,
+            &self.stragglers,
+            live,
+            &mut self.wf_scratch,
+        );
+        for (&f, &rate) in live.iter().zip(&rates) {
+            let flow = &mut self.flows[f];
+            flow.rate_bps = rate;
+            flow.version += 1;
+            if rate > 0.0 {
+                let t = self.now_s + flow.remaining_bytes * 8.0 / rate;
+                let version = flow.version;
+                self.push_event(t, EventKind::Completion { flow: f, version });
             }
         }
     }
 }
 
-/// Smallest total live-flow count for which a multi-component event batch
-/// fans its water-filling passes out to rayon threads; below this the
-/// thread-team spawn costs more than the waterfills.
-const PARALLEL_WATERFILL_MIN_FLOWS: usize = 64;
+/// What [`FluidEngine::run_sharded`] merges back from one shard. The
+/// shard engine runs and is dropped on its worker thread, so its event
+/// heap, adjacency and scratch are freed as each shard finishes rather
+/// than all staying alive until the merge.
+struct ShardOutcome {
+    /// Final flow records, in the shard's member order.
+    flows: Vec<EngineFlow>,
+    /// Final byte counter of every shard link.
+    link_bytes: Vec<(LinkKey, f64)>,
+    stats: EngineStats,
+    now_s: f64,
+    next_seq: u64,
+}
+
+impl ShardOutcome {
+    fn run(mut sub: FluidEngine) -> Self {
+        sub.run_monolithic();
+        let link_bytes = (0..sub.links.len())
+            .map(|sid| (sub.links.key(dense_u32(sid)), sub.link_bytes[sid]))
+            .collect();
+        ShardOutcome {
+            flows: std::mem::take(&mut sub.flows),
+            link_bytes,
+            stats: sub.stats,
+            now_s: sub.now_s,
+            next_seq: sub.next_seq,
+        }
+    }
+}
 
 /// Local (shard-relative) index of a global flow id within a shard's
 /// ascending member list.
@@ -1357,8 +1338,8 @@ fn local_id(ids: &[FlowId], global: FlowId) -> FlowId {
 }
 
 /// Max-min rates of one component's live flows, aligned with `live`
-/// positions (pure function of the arena and the flat spans, safe to run
-/// concurrently per component — each caller passes its own scratch).
+/// positions (pure function of the arena and the flat spans; `scratch` is
+/// only reused storage).
 /// Straggler factors compose multiplicatively with each flow's relay
 /// factor; with no stragglers the factors are passed through untouched
 /// (not even a `* 1.0`), so healthy runs stay bit-identical to the

@@ -4,7 +4,6 @@
 use crate::fluid::FlowSpec;
 use crate::network::SimNetwork;
 use topoopt_collectives::ring::{ring_bytes_per_node, RingPermutation};
-use topoopt_graph::TrafficMatrix;
 
 /// How one AllReduce group's traffic is laid onto rings.
 #[derive(Debug, Clone)]
@@ -64,11 +63,16 @@ pub fn allreduce_flows(net: &SimNetwork, plan: &AllReducePlan) -> Vec<FlowSpec> 
     flows
 }
 
-/// Build one flow per non-zero entry of the model-parallel demand matrix,
-/// routed over the network.
-pub fn mp_flows(net: &SimNetwork, mp: &TrafficMatrix) -> Vec<FlowSpec> {
-    let mut flows = Vec::new();
-    for (src, dst, bytes) in mp.entries_desc() {
+/// Build one flow per model-parallel demand entry, routed over the
+/// network, in the order given. `entries` are `(src, dst, bytes)` triples
+/// in the order [`TrafficMatrix::entries_desc`] yields them: dense callers
+/// pass `mp.entries_desc()`, and the shared cluster passes a job's entries
+/// remapped to global ids (see [`crate::multijob::build_job_flows`]).
+///
+/// [`TrafficMatrix::entries_desc`]: topoopt_graph::TrafficMatrix::entries_desc
+pub fn mp_flows(net: &SimNetwork, entries: &[(usize, usize, f64)]) -> Vec<FlowSpec> {
+    let mut flows = Vec::with_capacity(entries.len());
+    for &(src, dst, bytes) in entries {
         if let Some(path) = net.path(src, dst) {
             flows.push(FlowSpec::new(path, bytes).with_relay_factor(net.relay_factor(src, dst)));
         } else {
@@ -89,7 +93,7 @@ pub fn mp_flows(net: &SimNetwork, mp: &TrafficMatrix) -> Vec<FlowSpec> {
 mod tests {
     use super::*;
     use crate::network::SimNetwork;
-    use topoopt_graph::topologies;
+    use topoopt_graph::{topologies, TrafficMatrix};
 
     #[test]
     fn natural_ring_plan_builds_one_flow_per_edge() {
@@ -133,7 +137,7 @@ mod tests {
         let mut mp = TrafficMatrix::new(8);
         mp.set(0, 3, 5.0e6);
         mp.set(3, 0, 5.0e6);
-        let flows = mp_flows(&net, &mp);
+        let flows = mp_flows(&net, &mp.entries_desc());
         assert_eq!(flows.len(), 2);
         let f03 = flows.iter().find(|f| f.src == 0 && f.dst == 3).unwrap();
         assert_eq!(f03.hops(), 3); // 0 -> 1 -> 2 -> 3 on a +1 ring
@@ -146,6 +150,6 @@ mod tests {
         assert!(
             allreduce_flows(&net, &AllReducePlan { permutations: vec![], bytes: 1.0 }).is_empty()
         );
-        assert!(mp_flows(&net, &TrafficMatrix::new(4)).is_empty());
+        assert!(mp_flows(&net, &TrafficMatrix::new(4).entries_desc()).is_empty());
     }
 }

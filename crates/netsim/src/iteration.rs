@@ -53,7 +53,7 @@ pub fn simulate_iteration(
     for plan in plans {
         flows.extend(allreduce_flows(net, plan));
     }
-    flows.extend(mp_flows(net, &demands.mp));
+    flows.extend(mp_flows(net, &demands.mp.entries_desc()));
 
     let result: FluidResult = simulate_flows(&net.graph, &flows, net.per_hop_latency_s);
     let unroutable = result.completion_s.iter().any(|c| c.is_infinite());

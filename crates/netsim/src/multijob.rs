@@ -24,13 +24,12 @@ use crate::engine::{EngineStats, FaultEvent, FlowId, FluidEngine};
 use crate::flows::{allreduce_flows, mp_flows, AllReducePlan};
 use crate::fluid::{simulate_flows, FlowSpec, LinkKey};
 use crate::network::SimNetwork;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use topoopt_cluster::{ClusterShards, LookaheadProvisioner, TransitionRecord, TransitionSchedule};
 use topoopt_collectives::ring::RingPermutation;
-use topoopt_graph::{Graph, TrafficMatrix};
+use topoopt_graph::Graph;
 use topoopt_strategy::TrafficDemands;
 
 /// Typed dense job index: position of a job in the slice handed to the
@@ -99,7 +98,15 @@ pub struct SharedClusterResult {
 
 /// Remap a job's local traffic demands onto global server ids and build its
 /// flows on the shared network. `server_map[i]` is the global id of the
-/// job's local server `i`.
+/// job's local server `i`; it must be injective (a job never holds the
+/// same server twice) and name only servers (ids below `net.num_servers`).
+///
+/// Only the job's own nonzero MP entries are remapped — no cluster-wide
+/// matrix is built, so the cost is independent of `net.num_servers`. The
+/// entries are ordered exactly as `entries_desc` orders a dense
+/// cluster-wide matrix: global row-major `(src, dst)`, then a stable sort
+/// by bytes descending. Flow order, and hence every engine result, is the
+/// same as remapping into a dense matrix first.
 pub fn build_job_flows(
     net: &SimNetwork,
     demands: &TrafficDemands,
@@ -107,11 +114,20 @@ pub fn build_job_flows(
     server_map: &[usize],
 ) -> Vec<FlowSpec> {
     assert_eq!(demands.num_servers, server_map.len());
-    // Remap the MP matrix.
-    let mut mp = TrafficMatrix::new(net.num_servers);
-    for (src, dst, bytes) in demands.mp.entries_desc() {
-        mp.add(server_map[src], server_map[dst], bytes);
-    }
+    let mut distinct = server_map.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(distinct.len(), server_map.len(), "server_map must not repeat a server");
+    assert!(server_map.iter().all(|&s| s < net.num_servers), "server_map names a non-server");
+    // Remap the MP entries.
+    let mut mp: Vec<(usize, usize, f64)> = demands
+        .mp
+        .entries_desc()
+        .into_iter()
+        .map(|(src, dst, bytes)| (server_map[src], server_map[dst], bytes))
+        .collect();
+    mp.sort_unstable_by_key(|&(src, dst, _)| (src, dst));
+    mp.sort_by(|a, b| b.2.total_cmp(&a.2));
     // Remap the AllReduce plans.
     let global_plans: Vec<AllReducePlan> = plans
         .iter()
@@ -141,10 +157,10 @@ pub fn build_job_flows(
 /// fabric; each job's iteration time is its compute time plus the completion
 /// of the last of its own flows (measured from the job's arrival).
 ///
-/// The independent per-job flow sets are constructed in parallel with
-/// rayon; the engine then simulates them together, re-rating only the
-/// connected component each completion touches — disjoint TopoOpt shards
-/// never pay for each other's events.
+/// Each job's flows (built beforehand, e.g. by [`build_job_flows`]) are
+/// offset by its arrival; the engine then simulates them together,
+/// re-rating only the connected component each completion touches —
+/// disjoint TopoOpt shards never pay for each other's events.
 pub fn simulate_shared_cluster(net: &SimNetwork, jobs: &[JobSpec]) -> SharedClusterResult {
     simulate_shared_cluster_stats(net, jobs).0
 }
@@ -158,7 +174,7 @@ pub fn simulate_shared_cluster_stats(
     jobs: &[JobSpec],
 ) -> (SharedClusterResult, EngineStats) {
     let per_job_flows: Vec<Vec<FlowSpec>> = jobs
-        .par_iter()
+        .iter()
         .map(|job| {
             job.flows
                 .iter()
@@ -1282,7 +1298,7 @@ pub fn solo_iteration_s(job: &DynamicJobSpec, per_hop_latency_s: f64) -> f64 {
     for p in &job.plans {
         flows.extend(allreduce_flows(&net, p));
     }
-    flows.extend(mp_flows(&net, &job.demands.mp));
+    flows.extend(mp_flows(&net, &job.demands.mp.entries_desc()));
     let sim = simulate_flows(&net.graph, &flows, net.per_hop_latency_s);
     if sim.completion_s.iter().any(|c| c.is_infinite()) {
         return f64::INFINITY;
@@ -1369,7 +1385,7 @@ fn refresh_shared_rates_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use topoopt_graph::topologies;
+    use topoopt_graph::{topologies, TrafficMatrix};
 
     fn small_demands(n: usize, bytes: f64) -> TrafficDemands {
         TrafficDemands {

@@ -270,10 +270,11 @@ fn reconfig_pauses_and_resumes_consistently() {
 #[test]
 fn parallel_component_waterfilling_is_deterministic_across_thread_counts() {
     // A t = 0 arrival wave across 24 disjoint rings (each with all
-    // intra-ring neighbour+chord flows) exceeds the engine's parallel
-    // fan-out threshold; a serial run (RAYON_NUM_THREADS=1) and a parallel
-    // run must produce byte-identical results, since per-component rates
-    // are collected in component order and applied sequentially.
+    // intra-ring neighbour+chord flows): one event batch re-waterfills
+    // many components, and the sharded run spreads the rings over rayon
+    // threads. A serial run (RAYON_NUM_THREADS=1) and a parallel run must
+    // produce byte-identical results, since per-component rates are
+    // applied in component order and shards merge in component order.
     let rings = 24usize;
     let size = 6usize;
     let mut g = Graph::new(rings * size);
