@@ -15,7 +15,8 @@
 //!   loop re-rates every active flow on every event and would take minutes
 //!   per sample); these points are the committed scaling curve, compared
 //!   PR-over-PR via `BENCH_fig16_dynamic_scale.json`.
-//! * The `fig16_dynamic_scale` static round end to end: `ClusterShards`
+//! * The `fig16_dynamic_scale` static round end to end, through the
+//!   experiment's own `topoopt_bench::cluster` helpers: `ClusterShards`
 //!   placement of relabelled 16-server TopoOpt prototypes, then
 //!   `build_job_flows` per job, then `simulate_shared_cluster_stats`, at
 //!   2048 and 8192 servers. Every stage should be linear in the cluster
@@ -27,15 +28,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::{Duration, Instant};
-use topoopt_bench::{baseline_strategy, build_topoopt_fabric_routed, demands_and_compute};
-use topoopt_cluster::{job_mix_for_load, ClusterShards, MixModel};
+use topoopt_bench::build_topoopt_fabric_routed;
+use topoopt_bench::cluster::{self, Prototype};
 use topoopt_graph::{topologies, Graph, TrafficMatrix};
-use topoopt_models::{ModelKind, ModelPreset};
 use topoopt_netsim::fluid::{simulate_flows, simulate_flows_reference, FlowSpec};
-use topoopt_netsim::multijob::build_job_flows;
 use topoopt_netsim::{
     simulate_dynamic_cluster, simulate_shared_cluster_stats, AllReducePlan, DynamicClusterParams,
-    DynamicFabric, DynamicJobSpec, JobSpec, MigrationMode, SharedEngineMode, SimNetwork,
+    DynamicFabric, DynamicJobSpec, JobSpec, MigrationMode, SharedEngineMode,
 };
 use topoopt_strategy::{AllReduceGroup, TrafficDemands};
 
@@ -148,7 +147,7 @@ fn bench_scale(c: &mut Criterion) {
     );
 
     // Static round end to end, 2048 vs 8192 servers.
-    let protos = round_prototypes();
+    let protos = cluster::prototypes(build_topoopt_fabric_routed);
     let small = median_time(3, || {
         static_round(&protos, 2048);
     });
@@ -166,69 +165,17 @@ fn bench_scale(c: &mut Criterion) {
     group.finish();
 }
 
-/// One planned 16-server job per model kind of the `fig16_dynamic_scale`
-/// mix (d = 8, 100 Gbps, `mp_shortest_path` routing); every placed job is
-/// a relabelled copy of its kind's prototype, as in the experiment.
-struct RoundPrototype {
-    kind: ModelKind,
-    demands: TrafficDemands,
-    plans: Vec<AllReducePlan>,
-    fabric: Graph,
-    compute_s: f64,
-}
-
-const ROUND_DEGREE: usize = 8;
-const ROUND_LINK_BPS: f64 = 100.0e9;
 /// The experiment's mix seed at its default `--seed 7` (seed + 5).
 const ROUND_MIX_SEED: u64 = 12;
 
-fn round_mix() -> MixModel {
-    MixModel { servers_per_job: 16, ..MixModel::default() }
-}
-
-fn round_prototypes() -> Vec<RoundPrototype> {
-    let n = round_mix().servers_per_job;
-    [ModelKind::Dlrm, ModelKind::Bert, ModelKind::Candle, ModelKind::Vgg16]
-        .into_iter()
-        .map(|kind| {
-            let (model, strategy) = baseline_strategy(kind, ModelPreset::Shared, n);
-            let (demands, compute_s) =
-                demands_and_compute(&model, &strategy, n, ROUND_DEGREE as f64 * ROUND_LINK_BPS);
-            let out = build_topoopt_fabric_routed(&demands, n, ROUND_DEGREE, ROUND_LINK_BPS);
-            let plans = out
-                .groups
-                .iter()
-                .map(|g| AllReducePlan { permutations: g.permutations(), bytes: g.bytes })
-                .collect();
-            RoundPrototype { kind, demands, plans, fabric: out.graph, compute_s }
-        })
-        .collect()
-}
-
 /// The `fig16_dynamic_scale` full-occupancy static round at `total`
-/// servers: fill the cluster with the mix, union the placed jobs' fabrics,
-/// build every job's flows on the union, and simulate one shared round.
-fn static_round(protos: &[RoundPrototype], total: usize) {
-    let requests = job_mix_for_load(&round_mix(), total, 1.0, ROUND_MIX_SEED);
-    let mut shards = ClusterShards::new(total);
-    let mut union = Graph::new(total);
-    let mut placed = Vec::new();
-    for req in &requests {
-        let Some((_, servers)) = shards.allocate(req.servers) else { break };
-        let proto = protos.iter().find(|p| p.kind == req.model).expect("prototype per mix kind");
-        for (_, e) in proto.fabric.edges() {
-            union.add_edge(servers[e.src], servers[e.dst], e.capacity_bps);
-        }
-        placed.push((proto, servers));
-    }
-    let net = SimNetwork::without_rules(union, total);
-    let jobs: Vec<JobSpec> = placed
-        .iter()
-        .map(|(p, servers)| {
-            let flows = build_job_flows(&net, &p.demands, &p.plans, servers);
-            JobSpec::new(format!("{:?}", p.kind), flows, p.compute_s)
-        })
-        .collect();
+/// servers, through the experiment's own helpers: fill the cluster with
+/// the mix, union the placed jobs' fabrics, build every job's flows on the
+/// union, and simulate one shared round.
+fn static_round(protos: &[Prototype], total: usize) {
+    let (net, placed) = cluster::place_jobs(protos, total, 1.0, ROUND_MIX_SEED);
+    let jobs: Vec<JobSpec> =
+        placed.iter().map(|(spec, servers)| cluster::round_job(&net, spec, servers)).collect();
     let (round, _) = simulate_shared_cluster_stats(&net, &jobs);
     assert!(round.per_job_total_s.iter().all(|t| t.is_finite()), "every placed job finishes");
 }

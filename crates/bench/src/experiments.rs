@@ -10,9 +10,7 @@
 
 use rayon::prelude::*;
 use std::sync::Arc;
-use topoopt_cluster::{
-    job_mix_for_load, poisson_arrival_times, ClusterShards, MixModel, TransitionSchedule,
-};
+use topoopt_cluster::TransitionSchedule;
 use topoopt_collectives::tree::{double_binary_tree, tree_allreduce_traffic};
 use topoopt_core::topology_finder::TopologyFinderOutput;
 use topoopt_cost::{
@@ -22,15 +20,10 @@ use topoopt_cost::{
 use topoopt_graph::{Graph, TrafficMatrix};
 use topoopt_models::zoo::build_dlrm;
 use topoopt_models::{DlrmConfig, ModelKind, ModelPreset};
-use topoopt_netsim::iteration::natural_ring_plans;
-use topoopt_netsim::multijob::{
-    build_job_flows, simulate_shared_cluster, simulate_shared_cluster_stats, solo_iteration_s,
-    JobSpec,
-};
 use topoopt_netsim::{
-    simulate_dynamic_cluster, simulate_iteration, simulate_reconfigurable_iteration, AllReducePlan,
-    DynamicClusterParams, DynamicFabric, DynamicJobSpec, IterationParams, MigrationMode,
-    ReconfigParams, SharedEngineMode, SimNetwork,
+    simulate_dynamic_cluster, simulate_iteration, simulate_reconfigurable_iteration,
+    simulate_shared_cluster_stats, AllReducePlan, DynamicFabric, DynamicJobSpec, IterationParams,
+    JobSpec, MigrationMode, ReconfigParams, SimNetwork,
 };
 use topoopt_rdma::RepairMode;
 use topoopt_reconfig::{
@@ -48,6 +41,7 @@ use topoopt_workloads::{
     sample_production_jobs, time_to_accuracy, topoopt_combined_heatmap, AccuracyCurve,
 };
 
+use crate::cluster::{self, cluster_params, fat_tree_job, round_job, DEGREE, ITERATIONS};
 use crate::{
     baseline_strategy, build_rdma_fabric, build_rdma_fabric_available, build_topoopt_fabric,
     build_topoopt_fabric_routed, compute_params, demands_and_compute, expander_iteration,
@@ -607,11 +601,7 @@ fn fig15(s: &Scale) -> ExperimentReport {
         .into_par_iter()
         .map(|degree| {
             let (out, demands) = topoopt_fabric_for(n, degree);
-            let plans: Vec<AllReducePlan> = out
-                .groups
-                .iter()
-                .map(|g| AllReducePlan { permutations: g.permutations(), bytes: g.bytes })
-                .collect();
+            let plans = AllReducePlan::from_groups(&out.groups);
             let net = SimNetwork::new(out.graph.clone(), n, out.routing.clone());
             let it =
                 simulate_iteration(&net, &demands, &plans, &IterationParams { compute_s: 0.0 });
@@ -630,14 +620,11 @@ fn fig15(s: &Scale) -> ExperimentReport {
 
 fn fig16(s: &Scale) -> ExperimentReport {
     let total = s.shared;
-    let degree = 8;
-    let link_bps = 100.0e9;
-    let mix = MixModel { servers_per_job: 16, ..MixModel::default() };
     // Default seed 7 reproduces the original harness's job-mix stream
     // (which used a fixed seed of 11).
     let mix_seed = s.seed.wrapping_add(4);
     let mut table = Table::titled(
-        format!("shared cluster of {total} servers (d = {degree}, B = 100 Gbps), §5.6 job mix"),
+        format!("shared cluster of {total} servers (d = {DEGREE}, B = 100 Gbps), §5.6 job mix"),
         vec![
             Column::fixed("load (%)", 0),
             Column::int("jobs"),
@@ -648,54 +635,19 @@ fn fig16(s: &Scale) -> ExperimentReport {
         ],
     )
     .with_paper("432 servers in the paper");
+    let protos = cluster::prototypes(build_topoopt_fabric);
     let rows = par_rows(vec![0.2, 0.4, 0.6, 0.8, 1.0], |load| {
-        let requests = job_mix_for_load(&mix, total, load, mix_seed);
-        let mut shards = ClusterShards::new(total);
-        let mut union = topoopt_graph::Graph::new(total);
-        let mut jobs_data = Vec::new();
-        for req in &requests {
-            let Some((_, servers)) = shards.allocate(req.servers) else { break };
-            let (model, strategy) = baseline_strategy(req.model, ModelPreset::Shared, req.servers);
-            let (demands, compute_s) =
-                demands_and_compute(&model, &strategy, req.servers, degree as f64 * link_bps);
-            let out = build_topoopt_fabric(&demands, req.servers, degree, link_bps);
-            for (_, e) in out.graph.edges() {
-                union.add_edge(servers[e.src], servers[e.dst], e.capacity_bps);
-            }
-            let plans: Vec<AllReducePlan> = out
-                .groups
-                .iter()
-                .map(|g| AllReducePlan { permutations: g.permutations(), bytes: g.bytes })
-                .collect();
-            jobs_data.push((demands, plans, servers, compute_s, model.name.clone()));
-        }
-        let topo_net = SimNetwork::without_rules(union, total);
-        let topo_jobs: Vec<JobSpec> = jobs_data
-            .iter()
-            .map(|(demands, plans, servers, compute_s, name)| {
-                JobSpec::new(
-                    name.clone(),
-                    build_job_flows(&topo_net, demands, plans, servers),
-                    *compute_s,
-                )
-            })
-            .collect();
-        let topo = simulate_shared_cluster(&topo_net, &topo_jobs);
+        let (topo_net, placed) = cluster::place_jobs(&protos, total, load, mix_seed);
+        let topo_jobs: Vec<JobSpec> =
+            placed.iter().map(|(spec, servers)| round_job(&topo_net, spec, servers)).collect();
+        let (topo, _) = simulate_shared_cluster_stats(&topo_net, &topo_jobs);
 
-        let ft_bw = equivalent_fat_tree_bandwidth(total, degree, link_bps);
-        let ft_net =
-            SimNetwork::without_rules(topoopt_graph::topologies::ideal_switch(total, ft_bw), total);
-        let ft_jobs: Vec<JobSpec> = jobs_data
+        let ft_net = SimNetwork::without_rules(cluster::fat_tree(total), total);
+        let ft_jobs: Vec<JobSpec> = placed
             .iter()
-            .map(|(demands, _plans, servers, compute_s, name)| {
-                JobSpec::new(
-                    name.clone(),
-                    build_job_flows(&ft_net, demands, &natural_ring_plans(demands), servers),
-                    *compute_s,
-                )
-            })
+            .map(|(spec, servers)| round_job(&ft_net, &fat_tree_job(spec), servers))
             .collect();
-        let ft = simulate_shared_cluster(&ft_net, &ft_jobs);
+        let (ft, _) = simulate_shared_cluster_stats(&ft_net, &ft_jobs);
         row![load * 100.0, topo_jobs.len(), topo.average_s, topo.p99_s, ft.average_s, ft.p99_s]
     });
     table.extend(rows);
@@ -704,15 +656,11 @@ fn fig16(s: &Scale) -> ExperimentReport {
 
 fn fig16_dynamic(s: &Scale) -> ExperimentReport {
     let total = s.shared;
-    let degree = 8;
-    let link_bps = 100.0e9;
-    let iterations = 20usize;
-    let mix = MixModel { servers_per_job: 16, ..MixModel::default() };
     let mix_seed = s.seed.wrapping_add(4);
     let mut table = Table::titled(
         format!(
-            "dynamic shared cluster of {total} servers (d = {degree}, B = 100 Gbps): \
-             Poisson arrivals, {iterations}-iteration jobs, look-ahead provisioning"
+            "dynamic shared cluster of {total} servers (d = {DEGREE}, B = 100 Gbps): \
+             Poisson arrivals, {ITERATIONS}-iteration jobs, look-ahead provisioning"
         ),
         vec![
             Column::fixed("load (%)", 0),
@@ -730,103 +678,32 @@ fn fig16_dynamic(s: &Scale) -> ExperimentReport {
         "Appendix C: the look-ahead bank pre-wires the next job's topology while jobs \
          train, so patch-panel rewiring is (mostly) hidden behind queueing",
     );
+    let protos = cluster::prototypes(build_topoopt_fabric);
     let rows = par_rows(vec![0.2, 0.4, 0.6, 0.8, 1.0], |load| {
-        // Twice the steady-state job count, so the cluster sees sustained
-        // turnover (departures freeing shards for queued arrivals).
-        let requests = job_mix_for_load(&mix, total * 2, load, mix_seed);
-
-        // Per-request demands, plans, shard topology, and solo iteration
-        // time (over local ids; the dynamic simulator places the shard).
-        let built: Vec<(DynamicJobSpec, f64)> = requests
-            .iter()
-            .map(|req| {
-                let (model, strategy) =
-                    baseline_strategy(req.model, ModelPreset::Shared, req.servers);
-                let (demands, compute_s) =
-                    demands_and_compute(&model, &strategy, req.servers, degree as f64 * link_bps);
-                let out = build_topoopt_fabric(&demands, req.servers, degree, link_bps);
-                let plans: Vec<AllReducePlan> = out
-                    .groups
-                    .iter()
-                    .map(|g| AllReducePlan { permutations: g.permutations(), bytes: g.bytes })
-                    .collect();
-                let spec = DynamicJobSpec {
-                    name: model.name.clone(),
-                    servers: req.servers,
-                    demands,
-                    plans,
-                    topology: Some(out.graph),
-                    compute_s,
-                    arrival_s: 0.0,
-                    iterations,
-                };
-                // The exact per-iteration cost the dynamic simulator will
-                // charge this job, so the arrival-rate calibration below
-                // can never drift from the simulated durations.
-                let solo_iter_s = solo_iteration_s(&spec, 1.0e-6);
-                (spec, solo_iter_s)
-            })
-            .collect();
-
-        // Arrival spacing that offers `load` of the cluster on average:
-        // rate = total*load / (servers_per_job * mean job duration).
-        let mean_duration_s = iterations as f64 * built.iter().map(|(_, it)| it).sum::<f64>()
-            / built.len().max(1) as f64;
-        let mean_gap_s =
-            mean_duration_s * mix.servers_per_job as f64 / (total as f64 * load.max(0.05));
-        let arrivals = poisson_arrival_times(built.len(), mean_gap_s, mix_seed);
+        let (topo_jobs, mean_duration_s) = cluster::poisson_trace(&protos, total, load, mix_seed);
         // Patch-panel rewiring takes minutes against jobs that train for
         // hours; a tenth of a (scaled-down) job's runtime keeps the
         // hide-it-behind-training mechanism visible in the table.
         let provisioning_s = 0.1 * mean_duration_s;
-
-        let topo_jobs: Vec<DynamicJobSpec> = built
-            .iter()
-            .zip(&arrivals)
-            .map(|((spec, _), &t)| {
-                let mut spec = spec.clone();
-                spec.arrival_s = t;
-                spec
-            })
-            .collect();
         let topo = simulate_dynamic_cluster(
             &topo_jobs,
-            &DynamicClusterParams {
-                total_servers: total,
-                fabric: DynamicFabric::Partitioned,
-                provisioning_time_s: provisioning_s,
-                per_hop_latency_s: 1.0e-6,
-                migration: MigrationMode::Atomic,
-                shared_engine: SharedEngineMode::Persistent,
-                window_cap: None,
-                faults: vec![],
-            },
+            &cluster_params(
+                total,
+                DynamicFabric::Partitioned,
+                provisioning_s,
+                MigrationMode::Atomic,
+            ),
         );
 
-        let ft_bw = equivalent_fat_tree_bandwidth(total, degree, link_bps);
-        let ft_jobs: Vec<DynamicJobSpec> = topo_jobs
-            .iter()
-            .map(|spec| {
-                let mut spec = spec.clone();
-                spec.plans = natural_ring_plans(&spec.demands);
-                spec.topology = None;
-                spec
-            })
-            .collect();
+        let ft_jobs: Vec<DynamicJobSpec> = topo_jobs.iter().map(fat_tree_job).collect();
         let ft = simulate_dynamic_cluster(
             &ft_jobs,
-            &DynamicClusterParams {
-                total_servers: total,
-                fabric: DynamicFabric::Shared(topoopt_graph::topologies::ideal_switch(
-                    total, ft_bw,
-                )),
-                provisioning_time_s: 0.0,
-                per_hop_latency_s: 1.0e-6,
-                migration: MigrationMode::Atomic,
-                shared_engine: SharedEngineMode::Persistent,
-                window_cap: None,
-                faults: vec![],
-            },
+            &cluster_params(
+                total,
+                DynamicFabric::Shared(cluster::fat_tree(total)),
+                0.0,
+                MigrationMode::Atomic,
+            ),
         );
         row![
             load * 100.0,
@@ -849,51 +726,15 @@ fn fig16_dynamic(s: &Scale) -> ExperimentReport {
 }
 
 fn fig16_dynamic_scale(s: &Scale) -> ExperimentReport {
-    let degree = 8;
-    let link_bps = 100.0e9;
-    let iterations = 20usize;
-    let mix = MixModel { servers_per_job: 16, ..MixModel::default() };
     let mix_seed = s.seed.wrapping_add(5);
     // Fixed datacenter sizes regardless of --full: the point of this
     // experiment is the committed, diffable scaling curve of the flat
     // engine, not a paper figure at a paper size.
     let sizes = [512usize, 2048, 8192];
 
-    // Every request asks for the same 16-server shard, so one
-    // TopologyFinder run per model kind covers every job at every cluster
-    // size. These fabrics use `mp_shortest_path` routing: MP pairs covered
-    // by a DP ring still ride their matched direct links.
-    let kinds = [ModelKind::Dlrm, ModelKind::Bert, ModelKind::Candle, ModelKind::Vgg16];
-    let prototypes: Vec<(ModelKind, DynamicJobSpec, f64)> = kinds
-        .par_iter()
-        .map(|&kind| {
-            let n = mix.servers_per_job;
-            let (model, strategy) = baseline_strategy(kind, ModelPreset::Shared, n);
-            let (demands, compute_s) =
-                demands_and_compute(&model, &strategy, n, degree as f64 * link_bps);
-            let out = build_topoopt_fabric_routed(&demands, n, degree, link_bps);
-            let plans: Vec<AllReducePlan> = out
-                .groups
-                .iter()
-                .map(|g| AllReducePlan { permutations: g.permutations(), bytes: g.bytes })
-                .collect();
-            let spec = DynamicJobSpec {
-                name: model.name.clone(),
-                servers: n,
-                demands,
-                plans,
-                topology: Some(out.graph),
-                compute_s,
-                arrival_s: 0.0,
-                iterations,
-            };
-            let solo_iter_s = solo_iteration_s(&spec, 1.0e-6);
-            (kind, spec, solo_iter_s)
-        })
-        .collect();
-    let prototype = |kind: ModelKind| {
-        prototypes.iter().find(|(k, _, _)| *k == kind).expect("prototype for every mix kind")
-    };
+    // These fabrics use `mp_shortest_path` routing: MP pairs covered by a
+    // DP ring still ride their matched direct links.
+    let protos = cluster::prototypes(build_topoopt_fabric_routed);
 
     // Table 1: the dynamic sweep — Poisson arrivals at two offered loads
     // per cluster size, partitioned TopoOpt fabric with look-ahead
@@ -903,8 +744,8 @@ fn fig16_dynamic_scale(s: &Scale) -> ExperimentReport {
     // targets and what the sharded engine accelerates).
     let mut dynamic_table = Table::titled(
         format!(
-            "dynamic TopoOpt cluster at datacenter scale (d = {degree}, B = 100 Gbps, \
-             16-server jobs, {iterations} iterations each): Poisson arrivals, \
+            "dynamic TopoOpt cluster at datacenter scale (d = {DEGREE}, B = 100 Gbps, \
+             16-server jobs, {ITERATIONS} iterations each): Poisson arrivals, \
              look-ahead provisioning"
         ),
         vec![
@@ -927,43 +768,15 @@ fn fig16_dynamic_scale(s: &Scale) -> ExperimentReport {
         }
     }
     let rows = par_rows(points, |(total, load)| {
-        // Twice the steady-state job count, so the cluster sees sustained
-        // turnover (departures freeing shards for queued arrivals).
-        let requests = job_mix_for_load(&mix, total * 2, load, mix_seed);
-        let built: Vec<(&DynamicJobSpec, f64)> = requests
-            .iter()
-            .map(|req| {
-                let (_, spec, solo) = prototype(req.model);
-                (spec, *solo)
-            })
-            .collect();
-        let mean_duration_s = iterations as f64 * built.iter().map(|(_, it)| it).sum::<f64>()
-            / built.len().max(1) as f64;
-        let mean_gap_s =
-            mean_duration_s * mix.servers_per_job as f64 / (total as f64 * load.max(0.05));
-        let arrivals = poisson_arrival_times(built.len(), mean_gap_s, mix_seed);
-        let provisioning_s = 0.1 * mean_duration_s;
-        let jobs: Vec<DynamicJobSpec> = built
-            .iter()
-            .zip(&arrivals)
-            .map(|((spec, _), &t)| {
-                let mut spec = (*spec).clone();
-                spec.arrival_s = t;
-                spec
-            })
-            .collect();
+        let (jobs, mean_duration_s) = cluster::poisson_trace(&protos, total, load, mix_seed);
         let r = simulate_dynamic_cluster(
             &jobs,
-            &DynamicClusterParams {
-                total_servers: total,
-                fabric: DynamicFabric::Partitioned,
-                provisioning_time_s: provisioning_s,
-                per_hop_latency_s: 1.0e-6,
-                migration: MigrationMode::Atomic,
-                shared_engine: SharedEngineMode::Persistent,
-                window_cap: None,
-                faults: vec![],
-            },
+            &cluster_params(
+                total,
+                DynamicFabric::Partitioned,
+                0.1 * mean_duration_s,
+                MigrationMode::Atomic,
+            ),
         );
         row![
             total,
@@ -998,30 +811,9 @@ fn fig16_dynamic_scale(s: &Scale) -> ExperimentReport {
         ],
     );
     let round_rows = par_rows(sizes.to_vec(), |total| {
-        let requests = job_mix_for_load(&mix, total, 1.0, mix_seed);
-        let mut shards = ClusterShards::new(total);
-        let mut union = topoopt_graph::Graph::new(total);
-        let mut placed: Vec<(&DynamicJobSpec, Vec<usize>)> = Vec::new();
-        for req in &requests {
-            let Some((_, servers)) = shards.allocate(req.servers) else { break };
-            let (_, spec, _) = prototype(req.model);
-            let topo = spec.topology.as_ref().expect("prototype fabrics are partitioned");
-            for (_, e) in topo.edges() {
-                union.add_edge(servers[e.src], servers[e.dst], e.capacity_bps);
-            }
-            placed.push((spec, servers));
-        }
-        let net = SimNetwork::without_rules(union, total);
-        let jobs: Vec<JobSpec> = placed
-            .iter()
-            .map(|(spec, servers)| {
-                JobSpec::new(
-                    spec.name.clone(),
-                    build_job_flows(&net, &spec.demands, &spec.plans, servers),
-                    spec.compute_s,
-                )
-            })
-            .collect();
+        let (net, placed) = cluster::place_jobs(&protos, total, 1.0, mix_seed);
+        let jobs: Vec<JobSpec> =
+            placed.iter().map(|(spec, servers)| round_job(&net, spec, servers)).collect();
         let flow_count: usize = jobs.iter().map(|j| j.flows.len()).sum();
         let (round, stats) = simulate_shared_cluster_stats(&net, &jobs);
         row![
@@ -1061,46 +853,16 @@ fn fig16_dynamic_scale(s: &Scale) -> ExperimentReport {
         ],
     );
     let window_rows = par_rows(sizes.to_vec(), |total| {
-        let load = 0.6;
-        let requests = job_mix_for_load(&mix, total * 2, load, mix_seed);
-        let built: Vec<(&DynamicJobSpec, f64)> = requests
-            .iter()
-            .map(|req| {
-                let (_, spec, solo) = prototype(req.model);
-                (spec, *solo)
-            })
-            .collect();
-        let mean_duration_s = iterations as f64 * built.iter().map(|(_, it)| it).sum::<f64>()
-            / built.len().max(1) as f64;
-        let mean_gap_s =
-            mean_duration_s * mix.servers_per_job as f64 / (total as f64 * load.max(0.05));
-        let arrivals = poisson_arrival_times(built.len(), mean_gap_s, mix_seed);
-        let ft_bw = equivalent_fat_tree_bandwidth(total, degree, link_bps);
-        let jobs: Vec<DynamicJobSpec> = built
-            .iter()
-            .zip(&arrivals)
-            .map(|((spec, _), &t)| {
-                let mut spec = (*spec).clone();
-                spec.arrival_s = t;
-                spec.plans = natural_ring_plans(&spec.demands);
-                spec.topology = None;
-                spec
-            })
-            .collect();
+        let (trace, _) = cluster::poisson_trace(&protos, total, 0.6, mix_seed);
+        let jobs: Vec<DynamicJobSpec> = trace.iter().map(fat_tree_job).collect();
         let r = simulate_dynamic_cluster(
             &jobs,
-            &DynamicClusterParams {
-                total_servers: total,
-                fabric: DynamicFabric::Shared(topoopt_graph::topologies::ideal_switch(
-                    total, ft_bw,
-                )),
-                provisioning_time_s: 0.0,
-                per_hop_latency_s: 1.0e-6,
-                migration: MigrationMode::Atomic,
-                shared_engine: SharedEngineMode::Persistent,
-                window_cap: None,
-                faults: vec![],
-            },
+            &cluster_params(
+                total,
+                DynamicFabric::Shared(cluster::fat_tree(total)),
+                0.0,
+                MigrationMode::Atomic,
+            ),
         );
         let e = r.engine;
         row![
@@ -1619,14 +1381,10 @@ fn fig_reconfig_planned(s: &Scale) -> ExperimentReport {
     // Table 2: a fig16-style dynamic workload, atomic vs planned
     // transitions end to end — same jobs, same arrivals, same provisioner.
     let total = s.shared;
-    let dyn_degree = 8;
-    let link_bps = 100.0e9;
-    let iterations = 20usize;
-    let mix = MixModel { servers_per_job: 16, ..MixModel::default() };
     let mix_seed = s.seed.wrapping_add(6);
     let mut dynamic_table = Table::titled(
         format!(
-            "dynamic cluster of {total} servers (d = {dyn_degree}, B = 100 Gbps): atomic \
+            "dynamic cluster of {total} servers (d = {DEGREE}, B = 100 Gbps): atomic \
              swap vs planned per-link migration at every job transition"
         ),
         vec![
@@ -1646,56 +1404,12 @@ fn fig_reconfig_planned(s: &Scale) -> ExperimentReport {
          (stale wiring of departed jobs is torn down link by link); fallbacks counts \
          transitions that reverted to the atomic swap",
     );
+    let protos = cluster::prototypes(build_topoopt_fabric);
     let dyn_groups: Vec<Vec<Vec<Cell>>> = vec![0.6, 0.9]
         .into_par_iter()
         .map(|load| {
-            let requests = job_mix_for_load(&mix, total * 2, load, mix_seed);
-            let built: Vec<(DynamicJobSpec, f64)> = requests
-                .iter()
-                .map(|req| {
-                    let (model, strategy) =
-                        baseline_strategy(req.model, ModelPreset::Shared, req.servers);
-                    let (demands, compute_s) = demands_and_compute(
-                        &model,
-                        &strategy,
-                        req.servers,
-                        dyn_degree as f64 * link_bps,
-                    );
-                    let out = build_topoopt_fabric(&demands, req.servers, dyn_degree, link_bps);
-                    let plans: Vec<AllReducePlan> = out
-                        .groups
-                        .iter()
-                        .map(|g| AllReducePlan { permutations: g.permutations(), bytes: g.bytes })
-                        .collect();
-                    let spec = DynamicJobSpec {
-                        name: model.name.clone(),
-                        servers: req.servers,
-                        demands,
-                        plans,
-                        topology: Some(out.graph),
-                        compute_s,
-                        arrival_s: 0.0,
-                        iterations,
-                    };
-                    let solo_iter_s = solo_iteration_s(&spec, 1.0e-6);
-                    (spec, solo_iter_s)
-                })
-                .collect();
-            let mean_duration_s = iterations as f64 * built.iter().map(|(_, it)| it).sum::<f64>()
-                / built.len().max(1) as f64;
-            let mean_gap_s =
-                mean_duration_s * mix.servers_per_job as f64 / (total as f64 * load.max(0.05));
-            let arrivals = poisson_arrival_times(built.len(), mean_gap_s, mix_seed);
+            let (jobs, mean_duration_s) = cluster::poisson_trace(&protos, total, load, mix_seed);
             let provisioning_s = 0.1 * mean_duration_s;
-            let jobs: Vec<DynamicJobSpec> = built
-                .iter()
-                .zip(&arrivals)
-                .map(|((spec, _), &t)| {
-                    let mut spec = spec.clone();
-                    spec.arrival_s = t;
-                    spec
-                })
-                .collect();
             let modes = [
                 ("atomic", MigrationMode::Atomic),
                 ("planned", planned_migration_mode(provisioning_s)),
@@ -1705,16 +1419,12 @@ fn fig_reconfig_planned(s: &Scale) -> ExperimentReport {
                 .map(|(label, migration)| {
                     let r = simulate_dynamic_cluster(
                         &jobs,
-                        &DynamicClusterParams {
-                            total_servers: total,
-                            fabric: DynamicFabric::Partitioned,
-                            provisioning_time_s: provisioning_s,
-                            per_hop_latency_s: 1.0e-6,
+                        &cluster_params(
+                            total,
+                            DynamicFabric::Partitioned,
+                            provisioning_s,
                             migration,
-                            shared_engine: SharedEngineMode::Persistent,
-                            window_cap: None,
-                            faults: vec![],
-                        },
+                        ),
                     );
                     row![
                         load * 100.0,

@@ -3,12 +3,39 @@
 //! round-trip through the vendored `serde::json` parser — i.e. parse into a
 //! full [`ExperimentReport`] and re-serialize to the committed bytes, so the
 //! artifact can never drift from the report format that regenerates it.
+//! The two Figure-16 experiments are also re-run and must reproduce their
+//! committed artifacts byte for byte, wall time aside.
 
+use topoopt_bench::experiments::{self, Scale, DEFAULT_SEED};
 use topoopt_report::{Cell, ExperimentReport};
 
 fn artifact_path(name: &str) -> std::path::PathBuf {
     // crates/bench -> repo root -> bench/.
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench").join(name)
+}
+
+/// Re-run experiment `id` at the default scale and seed and require the
+/// committed `BENCH_<id>.json` bytes back. Only the wall time, which no
+/// run reproduces, is copied over from the committed artifact.
+fn assert_regenerates_committed_artifact(id: &str) {
+    let path = artifact_path(&format!("BENCH_{id}.json"));
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing committed artifact {}: {e}", path.display()));
+    let committed = ExperimentReport::from_json(&text).expect("artifact must parse as a report");
+    let def = experiments::find(id).expect("artifact id must be a registered experiment");
+    let mut fresh = experiments::run(def, &Scale::new(false, DEFAULT_SEED));
+    fresh.wall_time_s = committed.wall_time_s;
+    assert_eq!(fresh.to_json(), text, "{id} must regenerate its committed artifact");
+}
+
+#[test]
+fn fig16_shared_regenerates_its_committed_artifact() {
+    assert_regenerates_committed_artifact("fig16_shared");
+}
+
+#[test]
+fn fig16_dynamic_regenerates_its_committed_artifact() {
+    assert_regenerates_committed_artifact("fig16_dynamic");
 }
 
 #[test]

@@ -4,6 +4,7 @@
 use crate::fluid::FlowSpec;
 use crate::network::SimNetwork;
 use topoopt_collectives::ring::{ring_bytes_per_node, RingPermutation};
+use topoopt_core::topology_finder::SelectedGroup;
 
 /// How one AllReduce group's traffic is laid onto rings.
 #[derive(Debug, Clone)]
@@ -21,6 +22,15 @@ impl AllReducePlan {
     /// layout for switched fabrics.
     pub fn natural_ring(members: Vec<usize>, bytes: f64) -> Self {
         AllReducePlan { permutations: vec![RingPermutation::new(members, 1)], bytes }
+    }
+
+    /// One plan per `TopologyFinder` group selection: each group's bytes
+    /// load-balanced over the rings of its selected strides.
+    pub fn from_groups(groups: &[SelectedGroup]) -> Vec<Self> {
+        groups
+            .iter()
+            .map(|g| AllReducePlan { permutations: g.permutations(), bytes: g.bytes })
+            .collect()
     }
 }
 

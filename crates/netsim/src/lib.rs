@@ -76,10 +76,10 @@ pub use flows::{allreduce_flows, mp_flows, AllReducePlan};
 pub use fluid::{simulate_flows, simulate_flows_reference, FlowSpec, FluidResult};
 pub use iteration::{simulate_iteration, IterationParams, IterationResult};
 pub use multijob::{
-    simulate_dynamic_cluster, simulate_shared_cluster, simulate_shared_cluster_stats,
-    DynamicClusterParams, DynamicClusterResult, DynamicEngineStats, DynamicFabric,
-    DynamicJobOutcome, DynamicJobSpec, FaultInjection, JobId, JobSpec, MigrationMode,
-    MigrationPlanFn, SharedClusterResult, SharedEngineMode,
+    simulate_dynamic_cluster, simulate_shared_cluster_stats, DynamicClusterParams,
+    DynamicClusterResult, DynamicEngineStats, DynamicFabric, DynamicJobOutcome, DynamicJobSpec,
+    FaultInjection, JobId, JobSpec, MigrationMode, MigrationPlanFn, SharedClusterResult,
+    SharedEngineMode,
 };
 pub use network::{RelayOverhead, SimNetwork};
 pub use reconfig::{simulate_reconfigurable_iteration, ReconfigParams, ReconfigResult};

@@ -9,7 +9,7 @@
 //!
 //! Two layers live here:
 //!
-//! * [`simulate_shared_cluster`] — one *round*: a static set of co-resident
+//! * [`simulate_shared_cluster_stats`] — one *round*: a static set of co-resident
 //!   jobs, each contributing one iteration's flows (offset by the job's
 //!   [`JobSpec::arrival_s`]), simulated together on the fluid engine.
 //! * [`simulate_dynamic_cluster`] — the dynamic layer: jobs arrive over
@@ -160,15 +160,10 @@ pub fn build_job_flows(
 /// Each job's flows (built beforehand, e.g. by [`build_job_flows`]) are
 /// offset by its arrival; the engine then simulates them together,
 /// re-rating only the connected component each completion touches —
-/// disjoint TopoOpt shards never pay for each other's events.
-pub fn simulate_shared_cluster(net: &SimNetwork, jobs: &[JobSpec]) -> SharedClusterResult {
-    simulate_shared_cluster_stats(net, jobs).0
-}
-
-/// [`simulate_shared_cluster`] returning the fluid engine's work counters
-/// alongside the result, so scale experiments can report how much
-/// incremental/sharded recomputation the round actually cost (events,
-/// waterfills, largest re-rated component).
+/// disjoint TopoOpt shards never pay for each other's events. The fluid
+/// engine's work counters come back alongside the result, so scale
+/// experiments can report how much incremental/sharded recomputation the
+/// round actually cost (events, waterfills, largest re-rated component).
 pub fn simulate_shared_cluster_stats(
     net: &SimNetwork,
     jobs: &[JobSpec],
@@ -188,14 +183,17 @@ pub fn simulate_shared_cluster_stats(
         .collect();
     let arrivals: Vec<f64> = jobs.iter().map(|j| j.arrival_s).collect();
     let computes: Vec<f64> = jobs.iter().map(|j| j.compute_s).collect();
-    shared_round_times(net, per_job_flows, &arrivals, &computes)
+    shared_round_times_with_faults(net, per_job_flows, &arrivals, &computes, &[])
 }
 
 /// Name-free shared-round core: each job is purely its [`JobId`] position
 /// in the three parallel arrays (`flows_by_job[jid]` already offset by the
 /// job's arrival, `arrivals[jid]`, `computes[jid]`), and each job's round
 /// time is its compute plus the completion of the last of its own flows,
-/// measured from its arrival.
+/// measured from its arrival. `faults` is the health history in effect
+/// when the round starts (dead links, stragglers), entering the window
+/// through the engine's event queue at offset 0 — exactly how the
+/// persistent dynamic engine absorbed them.
 ///
 /// Routes through a one-window [`SharedFabricEngine`]: every job is
 /// admitted and the whole window re-rated, which is bit-identical to the
@@ -203,19 +201,6 @@ pub fn simulate_shared_cluster_stats(
 /// equivalence oracle and bench baseline) — same arena, same flow order,
 /// same event sequence — while exercising the exact admit/restart/run
 /// machinery the dynamic layer reuses across windows.
-pub(crate) fn shared_round_times(
-    net: &SimNetwork,
-    flows_by_job: Vec<Vec<FlowSpec>>,
-    arrivals: &[f64],
-    computes: &[f64],
-) -> (SharedClusterResult, EngineStats) {
-    shared_round_times_with_faults(net, flows_by_job, arrivals, computes, &[])
-}
-
-/// [`shared_round_times`] on a degraded fabric: `faults` is the health
-/// history in effect when the round starts (dead links, stragglers),
-/// entering the window through the engine's event queue at offset 0 —
-/// exactly how the persistent dynamic engine absorbed them.
 pub(crate) fn shared_round_times_with_faults(
     net: &SimNetwork,
     flows_by_job: Vec<Vec<FlowSpec>>,
@@ -240,7 +225,7 @@ pub(crate) fn shared_round_times_with_faults(
 
 /// The historical rebuild-per-call round core: a fresh engine, every link
 /// re-interned, every job's flows re-added, one monolithic-or-sharded run.
-/// [`shared_round_times`] (and the dynamic loop's persistent window path)
+/// [`shared_round_times_with_faults`] (and the dynamic loop's persistent window path)
 /// must stay bit-identical to this; proptests in `tests/dynamic.rs` replay
 /// random traces through both, and `benches/scale.rs` uses it as the
 /// baseline the persistent engine is gated ≥5x against.
@@ -1308,7 +1293,7 @@ pub fn solo_iteration_s(job: &DynamicJobSpec, per_hop_latency_s: f64) -> f64 {
 
 /// Iteration time of a job alone on the shared fabric (used as the seed
 /// before the co-resident set is re-rated). Goes through the name-free
-/// [`shared_round_times`] core: no `JobSpec` (and no job-name clone) is
+/// [`shared_round_times_with_faults`] core: no `JobSpec` (and no job-name clone) is
 /// materialised per admission event.
 fn shared_iteration_s(
     net: &SimNetwork,
@@ -1442,8 +1427,8 @@ mod tests {
         let plans = vec![AllReducePlan::natural_ring((0..4).collect(), 1.0e9)];
         let job_a = JobSpec::new("a", build_job_flows(&net, &demands, &plans, &[0, 1, 2, 3]), 0.0);
         let job_b = JobSpec::new("b", build_job_flows(&net, &demands, &plans, &[4, 5, 6, 7]), 0.0);
-        let both = simulate_shared_cluster(&net, &[job_a.clone(), job_b.clone()]);
-        let solo = simulate_shared_cluster(&net, &[job_a]);
+        let both = simulate_shared_cluster_stats(&net, &[job_a.clone(), job_b.clone()]).0;
+        let solo = simulate_shared_cluster_stats(&net, &[job_a]).0;
         assert!((both.per_job_total_s[0] - solo.per_job_total_s[0]).abs() < 1e-9);
     }
 
@@ -1456,8 +1441,8 @@ mod tests {
         let plans = vec![AllReducePlan::natural_ring((0..8).collect(), 1.0e9)];
         let map: Vec<usize> = (0..8).collect();
         let job = JobSpec::new("j", build_job_flows(&net, &demands, &plans, &map), 0.0);
-        let solo = simulate_shared_cluster(&net, std::slice::from_ref(&job));
-        let loaded = simulate_shared_cluster(&net, &[job.clone(), job.clone(), job]);
+        let solo = simulate_shared_cluster_stats(&net, std::slice::from_ref(&job)).0;
+        let loaded = simulate_shared_cluster_stats(&net, &[job.clone(), job.clone(), job]).0;
         assert!(loaded.average_s > solo.average_s * 1.5);
         assert!(loaded.p99_s >= loaded.average_s);
     }
@@ -1471,7 +1456,7 @@ mod tests {
         let busy =
             JobSpec::new("busy", build_job_flows(&net, &demands, &plans, &[0, 1, 2, 3]), 0.0);
         let idle = JobSpec::new("idle", vec![], 0.25);
-        let r = simulate_shared_cluster(&net, &[busy, idle]);
+        let r = simulate_shared_cluster_stats(&net, &[busy, idle]).0;
         assert_eq!(r.per_job_total_s.len(), 2);
         assert!((r.per_job_total_s[1] - 0.25).abs() < 1e-12);
         assert!(r.per_job_total_s[0] > 0.0);
@@ -1495,7 +1480,7 @@ mod tests {
         let late =
             JobSpec::new("late", build_job_flows(&net, &demands, &plans, &[4, 5, 6, 7]), 0.0)
                 .with_arrival(5.0);
-        let r = simulate_shared_cluster(&net, &[early, late]);
+        let r = simulate_shared_cluster_stats(&net, &[early, late]).0;
         assert!((r.per_job_total_s[0] - r.per_job_total_s[1]).abs() < 1e-9);
     }
 

@@ -6,7 +6,7 @@
 
 use topoopt::cluster::{job_mix_for_load, ClusterShards, MixModel};
 use topoopt::netsim::iteration::natural_ring_plans;
-use topoopt::netsim::multijob::{build_job_flows, simulate_shared_cluster, JobSpec};
+use topoopt::netsim::multijob::{build_job_flows, simulate_shared_cluster_stats, JobSpec};
 use topoopt::prelude::*;
 
 /// Everything one job contributes to the shared simulation: demands, ring
@@ -67,11 +67,7 @@ fn main() {
             for (_, e) in out.graph.edges() {
                 union.add_edge(servers[e.src], servers[e.dst], e.capacity_bps);
             }
-            let plans: Vec<AllReducePlan> = out
-                .groups
-                .iter()
-                .map(|g| AllReducePlan { permutations: g.permutations(), bytes: g.bytes })
-                .collect();
+            let plans = AllReducePlan::from_groups(&out.groups);
             let est = estimate_iteration_time(
                 &model,
                 &strategy,
@@ -88,7 +84,7 @@ fn main() {
                 *compute_s,
             ));
         }
-        let topo_result = simulate_shared_cluster(&topo_net, &topoopt_jobs);
+        let (topo_result, _) = simulate_shared_cluster_stats(&topo_net, &topoopt_jobs);
 
         // Shared switched fabric (cost-equivalent bandwidth), same jobs.
         let ft_bw = equivalent_fat_tree_bandwidth(total_servers, degree, link_bps);
@@ -102,7 +98,7 @@ fn main() {
                 *compute_s,
             ));
         }
-        let fabric_result = simulate_shared_cluster(&fabric_net, &fabric_jobs);
+        let (fabric_result, _) = simulate_shared_cluster_stats(&fabric_net, &fabric_jobs);
 
         println!(
             "{:>5.0}% {:>6} {:>16.4} {:>16.4} {:>16.4} {:>16.4}",

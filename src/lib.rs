@@ -20,12 +20,7 @@
 //! assert!(result.network.graph.is_strongly_connected());
 //!
 //! // 3. Simulate a training iteration on the resulting fabric (§5).
-//! let plans: Vec<AllReducePlan> = result
-//!     .network
-//!     .groups
-//!     .iter()
-//!     .map(|g| AllReducePlan { permutations: g.permutations(), bytes: g.bytes })
-//!     .collect();
+//! let plans = AllReducePlan::from_groups(&result.network.groups);
 //! let net = SimNetwork::new(result.network.graph.clone(), 16, result.network.routing.clone());
 //! let iteration = simulate_iteration(
 //!     &net,
@@ -93,7 +88,7 @@ pub mod prelude {
     pub use topoopt_models::{build_model, DnnModel, ModelKind, ModelPreset};
     pub use topoopt_netsim::{
         simulate_dynamic_cluster, simulate_iteration, simulate_reconfigurable_iteration,
-        simulate_shared_cluster, AllReducePlan, DynamicClusterParams, DynamicEngineStats,
+        simulate_shared_cluster_stats, AllReducePlan, DynamicClusterParams, DynamicEngineStats,
         DynamicFabric, DynamicJobSpec, FluidEngine, IterationParams, MigrationMode, ReconfigParams,
         SharedEngineMode, SimNetwork,
     };
