@@ -2,10 +2,13 @@
 //!
 //! Two workload shapes bracket the engine's advantage:
 //!
-//! * `sharded` — many disjoint per-job rings (the Figure 16 shape): every
+//! * `sharded` — many disjoint per-job rings (the Figure 16 shape), run
+//!   through `simulate_flows` on the engine's single event loop: every
 //!   completion event touches one job's component, so the incremental
 //!   engine re-rates O(job) flows while the reference loop re-rates all of
-//!   them. This is where the asymptotic win lives.
+//!   them. This is where the asymptotic win lives. (Running each ring in
+//!   its own event loop is the shared-cluster window's job; see
+//!   `benches/scale.rs`.)
 //! * `hub` — every flow crosses one shared switch: the component is the
 //!   whole network, so the engine's win reduces to skipping untouched
 //!   settle work.

@@ -1,5 +1,7 @@
-//! Datacenter-scale netsim benchmark: the flat index-based engine with
-//! sharded event loops against the map-keyed from-scratch reference.
+//! Datacenter-scale netsim benchmark: the flat index-based engine's single
+//! event loop against the map-keyed from-scratch reference, and the
+//! shared-cluster round whose window runs each job component in its own
+//! event loop.
 //!
 //! The workload is the Figure-16 dynamic shape at cluster scale: disjoint
 //! 8-server rings covering every server, one flow per ring edge plus a
@@ -18,8 +20,8 @@
 //! * The `fig16_dynamic_scale` static round end to end, through the
 //!   experiment's own `topoopt_bench::cluster` helpers: `ClusterShards`
 //!   placement of relabelled 16-server TopoOpt prototypes, then
-//!   `build_job_flows` per job, then `simulate_shared_cluster_stats`, at
-//!   2048 and 8192 servers. Every stage should be linear in the cluster
+//!   `build_job_flows` per job, then `simulate_shared_cluster_stats` (one
+//!   event loop per job, fanned out over rayon), at 2048 and 8192 servers. Every stage should be linear in the cluster
 //!   size, so the bench asserts the 8192-server round takes at most 6x the
 //!   2048-server one (4x more jobs). A per-job cost that grows with the
 //!   cluster — such as a dense cluster-wide matrix per job — fails it.

@@ -50,34 +50,33 @@
 //!
 //! # Sharded event loops
 //!
-//! [`FluidEngine::run`] goes one step further: when the live (not-yet-done)
-//! flows partition into several connected components (and no
-//! reconfiguration is outstanding — a capacity swap couples everything),
-//! each component becomes its own *shard* with its own event heap and
-//! clock, run as an independent event loop on a rayon thread and merged
-//! deterministically afterwards. This works **mid-run**, not just on a
-//! fresh engine: each shard is seeded with a full state transplant — flow
-//! progress (`remaining_bytes`, `settled_s`, rates, versions), link byte
-//! counters, and the pending events of its member flows copied verbatim
-//! (times *and* tie-breaking sequence numbers) from the parent heap.
-//! Components never interact — no shared links means no shared rates, no
-//! shared events, and no shared byte counters — so the merge (flow
+//! [`FluidEngine::run`] is the one event loop. The shared-cluster window
+//! (`multijob::SharedFabricEngine::run_window`) already knows which resident
+//! jobs form disjoint link components, so it hands those components to
+//! `FluidEngine::run_shards`, which runs each in a fresh sub-engine on a
+//! rayon thread and merges the outcomes. Shards only ever start at a window
+//! origin — clock at 0, every listed flow armed, the heap holding exactly
+//! their arrivals — and `run_shards` asserts it, so a shard is rebuilt from
+//! flow specs alone: the parent's *effective* capacities on the shard's
+//! links, its straggler factors, and the members added in ascending id
+//! order, which pushes their arrivals in the same relative sequence as the
+//! parent heap. Components never interact — no shared links means no shared
+//! rates, no shared events, and no shared byte counters — so each shard is
+//! the single loop restricted to its own links, and the merge (flow
 //! outcomes and per-link bytes copied per shard, the carried-bytes sum
-//! taken globally in key order, stats summed in component order) is
-//! bit-identical to the single-loop run regardless of thread count;
+//! taken globally in key order, stats summed in shard order) is
+//! bit-identical to [`FluidEngine::run`] regardless of thread count;
 //! `RAYON_NUM_THREADS=1` and the default produce byte-identical results.
-//! [`FluidEngine::run_monolithic`] keeps the single-loop path callable as
-//! the equivalence oracle.
 //!
 //! # Window-level reuse
 //!
 //! The dynamic shared cluster re-rates co-resident jobs after every
 //! arrival/departure. Instead of rebuilding an engine per window, one
 //! engine now lives as long as the cluster: links intern once,
-//! [`FluidEngine::add_flow_parked`] registers a job's flows without
-//! scheduling them, [`FluidEngine::remove_flows`] retires a departing
+//! `FluidEngine::add_flow_parked` registers a job's flows without
+//! scheduling them, `FluidEngine::remove_flows` retires a departing
 //! job's flows (deregistering them from the adjacency and invalidating
-//! their pending events), and [`FluidEngine::restart_flows`] rewinds the
+//! their pending events), and `FluidEngine::restart_flows` rewinds the
 //! clock and re-arms exactly the flows whose component an event window
 //! touched — untouched components keep their cached results, which is
 //! sound because disjoint components produce bit-identical results whether
@@ -247,13 +246,6 @@ pub struct FluidEngine {
     /// Scheduled fault events, link keys interned at schedule time.
     pending_faults: Vec<FaultEvent>,
     stats: EngineStats,
-    /// Reconfigurations scheduled but not yet applied; sharding is off
-    /// while any is outstanding (a capacity swap couples every component).
-    outstanding_reconfigs: usize,
-    /// Fault events scheduled but not yet applied; sharding is off while
-    /// any is outstanding (a port fault or straggler can touch several
-    /// components at once).
-    outstanding_faults: usize,
     /// Per-link failure count, indexed by `LinkId`: a link is dead while
     /// its count is positive (overlapping link- and port-level faults
     /// stack, so recoveries pair with their failures).
@@ -271,13 +263,6 @@ pub struct FluidEngine {
     flow_mark: Vec<u64>,
     link_mark: Vec<u64>,
     epoch: u64,
-    /// Epoch-stamped union-find scratch for [`Self::shard_partition`]:
-    /// `link_owner[l]` is the first live flow seen on link `l` this epoch
-    /// (valid iff `link_mark[l] == epoch`), `uf_parent` the per-flow
-    /// union-find forest — pooled so mid-run repartitioning at each window
-    /// boundary allocates nothing.
-    link_owner: Vec<u32>,
-    uf_parent: Vec<u32>,
     /// Pooled water-filling buffers for the sequential recompute path.
     wf_scratch: WaterfillScratch,
 }
@@ -309,16 +294,12 @@ impl FluidEngine {
             pending_reconfigs: Vec::new(),
             pending_faults: Vec::new(),
             stats: EngineStats::default(),
-            outstanding_reconfigs: 0,
-            outstanding_faults: 0,
             down: vec![0; n],
             healthy_caps,
             stragglers: BTreeMap::new(),
             flow_mark: Vec::new(),
             link_mark: vec![0; n],
             epoch: 0,
-            link_owner: vec![u32::MAX; n],
-            uf_parent: Vec::new(),
             wf_scratch: WaterfillScratch::default(),
         }
     }
@@ -348,7 +329,6 @@ impl FluidEngine {
             self.link_bytes.resize(n, 0.0);
             self.active_on_link.resize_with(n, Vec::new);
             self.link_mark.resize(n, 0);
-            self.link_owner.resize(n, u32::MAX);
             self.down.resize(n, 0);
             self.healthy_caps.resize(n, 0.0); // fresh interns start at cap 0
         }
@@ -371,35 +351,8 @@ impl FluidEngine {
     /// current clock if that instant already passed). Flows with zero hops
     /// or zero bytes complete immediately, matching the reference loop.
     pub fn add_flow(&mut self, spec: FlowSpec) -> FlowId {
-        let id = self.flows.len();
-        let links_start = self.flow_links.len();
-        for w in spec.path.windows(2) {
-            let lid = self.intern_link((w[0], w[1]));
-            self.flow_links.push(lid);
-        }
-        let remaining = spec.bytes.max(0.0);
-        let mut flow = EngineFlow {
-            state: FlowState::Pending,
-            remaining_bytes: remaining,
-            rate_bps: 0.0,
-            settled_s: spec.start_s,
-            version: 0,
-            completion_s: 0.0,
-            links_start,
-            spec,
-        };
-        if flow.spec.hops() == 0 {
-            flow.state = FlowState::Done;
-            flow.completion_s = flow.spec.start_s;
-        } else if remaining <= 0.0 {
-            flow.state = FlowState::Done;
-            flow.completion_s = 0.0;
-        } else {
-            let t = flow.spec.start_s.max(self.now_s);
-            self.push_event(t, EventKind::Arrival(id));
-        }
-        self.flows.push(flow);
-        self.flow_mark.push(0);
+        let id = self.add_flow_parked(spec);
+        self.arm(id);
         id
     }
 
@@ -409,7 +362,7 @@ impl FluidEngine {
     /// is the admission half of window-level reuse — a long-lived engine
     /// interns a job's paths once, and each event window restarts only the
     /// flows it touches.
-    pub fn add_flow_parked(&mut self, spec: FlowSpec) -> FlowId {
+    pub(crate) fn add_flow_parked(&mut self, spec: FlowSpec) -> FlowId {
         let id = self.flows.len();
         let links_start = self.flow_links.len();
         for w in spec.path.windows(2) {
@@ -430,15 +383,37 @@ impl FluidEngine {
         id
     }
 
+    /// Arm a flow for a run with its full byte demand: zero hops complete
+    /// at `start_s`, zero bytes at 0, and anything else goes `Pending`
+    /// with an arrival at `start_s` (clamped to the current clock).
+    fn arm(&mut self, id: FlowId) {
+        let flow = &mut self.flows[id];
+        flow.rate_bps = 0.0;
+        flow.remaining_bytes = flow.spec.bytes.max(0.0);
+        flow.settled_s = flow.spec.start_s;
+        if flow.spec.hops() == 0 {
+            flow.state = FlowState::Done;
+            flow.completion_s = flow.spec.start_s;
+        } else if flow.remaining_bytes <= 0.0 {
+            flow.state = FlowState::Done;
+            flow.completion_s = 0.0;
+        } else {
+            flow.state = FlowState::Pending;
+            flow.completion_s = 0.0;
+            let t = flow.spec.start_s.max(self.now_s);
+            self.push_event(t, EventKind::Arrival(id));
+        }
+    }
+
     /// Retire a flow set (a departing job): unhook each flow from the
     /// per-link adjacency, cancel its pending completion/arrival events
     /// (lazily, via the version counter and the `Pending` state check in
     /// the event loop), and mark it `Done`. Flows that had not finished
     /// report an infinite completion; already-finished flows keep theirs.
     /// Retired flows stay in the arena — ids remain stable and the CSR
-    /// buffer is append-only — but they are invisible to partitioning,
-    /// recomputation, and future windows.
-    pub fn remove_flows(&mut self, ids: &[FlowId]) {
+    /// buffer is append-only — but they are invisible to recomputation and
+    /// future windows.
+    pub(crate) fn remove_flows(&mut self, ids: &[FlowId]) {
         for &id in ids {
             match self.flows[id].state {
                 FlowState::Done => {}
@@ -478,7 +453,7 @@ impl FluidEngine {
     ///
     /// Requires a quiescent engine: the previous window must have run to
     /// completion (empty event heap).
-    pub fn restart_flows(&mut self, ids: &[FlowId]) {
+    pub(crate) fn restart_flows(&mut self, ids: &[FlowId]) {
         assert!(
             self.events.is_empty(),
             "restart_flows needs a quiescent engine (run the previous window to completion)"
@@ -500,24 +475,8 @@ impl FluidEngine {
             for k in start..end {
                 self.link_bytes[self.flow_links[k] as usize] = 0.0;
             }
-            let flow = &mut self.flows[id];
-            flow.version += 1;
-            flow.rate_bps = 0.0;
-            let remaining = flow.spec.bytes.max(0.0);
-            flow.remaining_bytes = remaining;
-            flow.settled_s = flow.spec.start_s;
-            if flow.spec.hops() == 0 {
-                flow.state = FlowState::Done;
-                flow.completion_s = flow.spec.start_s;
-            } else if remaining <= 0.0 {
-                flow.state = FlowState::Done;
-                flow.completion_s = 0.0;
-            } else {
-                flow.state = FlowState::Pending;
-                flow.completion_s = 0.0;
-                let t = flow.spec.start_s.max(0.0);
-                self.push_event(t, EventKind::Arrival(id));
-            }
+            self.flows[id].version += 1;
+            self.arm(id);
         }
     }
 
@@ -535,7 +494,6 @@ impl FluidEngine {
             capacity.into_iter().map(|(key, cap)| (self.intern_link(key), cap)).collect();
         let idx = self.pending_reconfigs.len();
         self.pending_reconfigs.push(entries);
-        self.outstanding_reconfigs += 1;
         let t = time_s.max(self.now_s);
         self.push_event(t, EventKind::Reconfigure(idx));
     }
@@ -552,7 +510,6 @@ impl FluidEngine {
         }
         let idx = self.pending_faults.len();
         self.pending_faults.push(fault);
-        self.outstanding_faults += 1;
         let t = time_s.max(self.now_s);
         self.push_event(t, EventKind::Fault(idx));
     }
@@ -562,7 +519,7 @@ impl FluidEngine {
     /// state onto a fresh engine (the rebuild oracle pre-applies the fault
     /// history its persistent counterpart absorbed event by event); on a
     /// quiescent engine this is pure state, no recomputation.
-    pub fn apply_fault_now(&mut self, fault: FaultEvent) {
+    pub(crate) fn apply_fault_now(&mut self, fault: FaultEvent) {
         let mut seeds: Vec<FlowId> = Vec::new();
         self.apply_fault_state(fault, &mut seeds);
         if !seeds.is_empty() {
@@ -662,9 +619,8 @@ impl FluidEngine {
         &self.stragglers
     }
 
-    /// Transplant straggler factors onto this engine (solo-probe and shard
-    /// construction; the probe must rate flows exactly as the source
-    /// engine would).
+    /// Transplant straggler factors onto this engine (the admission probe
+    /// must rate flows exactly as the source engine would).
     pub(crate) fn set_straggler_factors(&mut self, factors: BTreeMap<usize, f64>) {
         self.stragglers = factors;
     }
@@ -691,29 +647,7 @@ impl FluidEngine {
 
     /// Process every event; flows still active afterwards (zero-rate on a
     /// zero-capacity link) are declared unroutable with infinite completion.
-    ///
-    /// When the live flows split into several disjoint connected components
-    /// (and no reconfiguration is outstanding), the run is sharded — even
-    /// mid-run, with in-flight progress and pending events transplanted per
-    /// component: each shard gets its own event loop, heap, and clock on a
-    /// rayon thread, and the results are merged deterministically — see the
-    /// module docs for why the merge is bit-identical to
-    /// [`Self::run_monolithic`].
     pub fn run(&mut self) {
-        if self.shardable() {
-            let shards = self.shard_partition();
-            if shards.len() > 1 {
-                self.run_sharded(shards);
-                return;
-            }
-        }
-        self.run_monolithic();
-    }
-
-    /// [`Self::run`] without shard fan-out: one event loop over all
-    /// components. Kept public as the oracle for the shard-merge
-    /// equivalence tests and benches; prefer [`Self::run`].
-    pub fn run_monolithic(&mut self) {
         self.run_until(f64::INFINITY);
         for flow in &mut self.flows {
             if flow.state != FlowState::Done {
@@ -726,201 +660,51 @@ impl FluidEngine {
         }
     }
 
-    /// True when [`Self::run`] may shard: an outstanding (scheduled but
-    /// not yet applied) reconfiguration or fault blocks it — a capacity
-    /// swap couples every component through the shared fabric, and a port
-    /// fault or straggler can touch several components at once. Already
-    /// *applied* fault state (dead links, stragglers) is fine: effective
-    /// capacities and straggler factors transplant into the shards.
-    fn shardable(&self) -> bool {
-        self.outstanding_reconfigs == 0 && self.outstanding_faults == 0
-    }
-
-    /// Partition the not-yet-done flows into connected components over
-    /// shared link ids (epoch-stamped union-find with path halving over
-    /// pooled scratch — no per-call allocation beyond the shard lists),
-    /// each component's flow list ascending; components ordered by their
-    /// smallest flow id.
-    fn shard_partition(&mut self) -> Vec<Vec<FlowId>> {
-        let n = self.flows.len();
-        self.epoch += 1;
-        let epoch = self.epoch;
-        fn find(parent: &mut [u32], mut x: u32) -> u32 {
-            while parent[x as usize] != x {
-                parent[x as usize] = parent[parent[x as usize] as usize]; // path halving
-                x = parent[x as usize];
-            }
-            x
-        }
-        let flows = &self.flows;
-        let flow_links = &self.flow_links;
-        let link_mark = &mut self.link_mark;
-        let link_owner = &mut self.link_owner;
-        let parent = &mut self.uf_parent;
-        parent.clear();
-        parent.extend(0..dense_u32(n));
-        for (id, flow) in flows.iter().enumerate() {
-            if flow.state == FlowState::Done {
-                continue;
-            }
-            for &lid in &flow_links[flow.links_start..flow.links_start + flow.spec.hops()] {
-                let lid = lid as usize;
-                if link_mark[lid] != epoch {
-                    link_mark[lid] = epoch;
-                    link_owner[lid] = dense_u32(id);
-                } else {
-                    let a = find(parent, dense_u32(id));
-                    let b = find(parent, link_owner[lid]);
-                    if a != b {
-                        parent[a as usize] = b;
-                    }
-                }
-            }
-        }
-        let mut component_of_root: Vec<u32> = vec![u32::MAX; n];
-        let mut shards: Vec<Vec<FlowId>> = Vec::new();
-        for (id, flow) in flows.iter().enumerate() {
-            if flow.state == FlowState::Done {
-                continue;
-            }
-            let root = find(parent, dense_u32(id)) as usize;
-            if component_of_root[root] == u32::MAX {
-                component_of_root[root] = dense_u32(shards.len());
-                shards.push(Vec::new());
-            }
-            shards[component_of_root[root] as usize].push(id);
-        }
-        shards
-    }
-
-    /// Run each shard as an independent event loop (parallel over rayon,
-    /// collected in input order) and merge: per-flow outcomes and per-link
-    /// bytes are copied shard by shard (link sets are disjoint), stats are
-    /// folded in component order, and the clock advances to the latest
-    /// shard clock — all bit-identical to the single-loop run.
+    /// [`Self::run`] split into independent event loops, one per entry of
+    /// `shards` (each an ascending flow-id list; the lists must not share
+    /// a link). Each shard runs in a fresh sub-engine on a rayon thread —
+    /// built with [`Self::add_flow`] from its members' specs over this
+    /// engine's effective capacities and straggler factors — and its
+    /// completions, link bytes and stats merge back in shard order, so the
+    /// outcome is bit-identical to [`Self::run`] (see the module docs).
     ///
-    /// Shards are seeded with a full state transplant, which is what makes
-    /// mid-run sharding exact rather than fresh-engine-only:
+    /// # Panics
     ///
-    /// * flow records are copied verbatim (progress, rate, version,
-    ///   settle instant), with the CSR span remapped to shard link ids and
-    ///   active flows re-registered on their links (registration order
-    ///   differs from the parent's activation order, which is harmless —
-    ///   every consumer of the adjacency sorts or deduplicates);
-    /// * per-link byte counters start from the parent's current values, so
-    ///   each shard's additions retrace the monolithic accumulation order
-    ///   exactly (live components own disjoint link sets);
-    /// * pending arrival/completion events move to their owner's shard
-    ///   with time **and** sequence number preserved — relative heap order
-    ///   inside a shard matches the monolithic heap, and fresh events get
-    ///   sequence numbers starting at the parent's `next_seq`, above every
-    ///   transplanted one, exactly as they would in the single loop.
-    ///   Events for already-done flows (a retired job's stale arrivals or
-    ///   completions) are dropped; the monolithic loop skips them without
-    ///   counting.
-    fn run_sharded(&mut self, shards: Vec<Vec<FlowId>>) {
-        // Route the parent's pending events to their owning shard.
-        let mut shard_of: Vec<u32> = vec![u32::MAX; self.flows.len()];
-        for (s, ids) in shards.iter().enumerate() {
-            for &f in ids {
-                shard_of[f] = dense_u32(s);
-            }
-        }
-        let mut routed: Vec<Vec<Event>> = vec![Vec::new(); shards.len()];
-        for Reverse(ev) in std::mem::take(&mut self.events).into_iter() {
-            let target = match ev.kind {
-                EventKind::Arrival(id) | EventKind::Completion { flow: id, .. } => shard_of[id],
-                EventKind::Reconfigure(_) => {
-                    // lint:allow(panic-in-engine): run() only shards when
-                    // shardable() saw no queued reconfiguration events.
-                    unreachable!("shardable() excludes outstanding reconfigurations")
-                }
-                EventKind::Fault(_) => {
-                    // lint:allow(panic-in-engine): run() only shards when
-                    // shardable() saw no queued fault events.
-                    unreachable!("shardable() excludes outstanding faults")
-                }
-            };
-            if target != u32::MAX {
-                routed[target as usize].push(ev);
-            }
-        }
-        let base_seq = self.next_seq;
-        let subs: Vec<FluidEngine> = shards
+    /// Unless the engine is at a window origin: the clock at 0, no listed
+    /// flow active, and the heap holding exactly the arrivals of the
+    /// listed pending flows (a fresh engine, or one
+    /// [`Self::restart_flows`] just rewound). No fault or reconfiguration
+    /// may be queued.
+    pub(crate) fn run_shards(&mut self, shards: &[Vec<FlowId>]) {
+        // Listed flows still live after arming; an active one (mid-run)
+        // has no queued arrival, so the comparison below rejects it.
+        let mut armed: Vec<FlowId> = shards
             .iter()
-            .zip(routed)
-            .map(|(ids, events)| {
-                let mut caps: BTreeMap<LinkKey, f64> = BTreeMap::new();
-                for &f in ids {
-                    for &lid in self.span(f) {
-                        caps.insert(self.links.key(lid), self.links.cap(lid));
-                    }
-                }
-                let mut sub = FluidEngine::from_capacities(caps, self.per_hop_latency_s);
-                sub.now_s = self.now_s;
-                sub.next_seq = base_seq;
-                // Applied fault state rides along: the caps above are the
-                // *effective* (post-fault) capacities, and straggler
-                // factors scale water-filling in the shard exactly as in
-                // the parent (no fault *events* are outstanding here).
-                sub.stragglers = self.stragglers.clone();
-                for &f in ids {
-                    let mut flow = self.flows[f].clone();
-                    flow.links_start = sub.flow_links.len();
-                    for &lid in self.span(f) {
-                        let sid = sub
-                            .links
-                            .lookup(self.links.key(lid))
-                            // lint:allow(panic-in-engine): the shard arena was interned
-                            // from these members' spans just above.
-                            .expect("shard caps cover every member span link");
-                        sub.flow_links.push(sid);
-                    }
-                    let local = sub.flows.len();
-                    if flow.state == FlowState::Active {
-                        let start = flow.links_start;
-                        for k in start..start + flow.spec.hops() {
-                            sub.active_on_link[sub.flow_links[k] as usize].push(local);
-                        }
-                    }
-                    sub.flows.push(flow);
-                    sub.flow_mark.push(0);
-                }
-                for sid in 0..sub.links.len() {
-                    let gid = self
-                        .links
-                        .lookup(sub.links.key(dense_u32(sid)))
-                        // lint:allow(panic-in-engine): every shard link was copied
-                        // out of the parent arena at shard build.
-                        .expect("shard links are interned in the parent");
-                    sub.link_bytes[sid] = self.link_bytes[gid as usize];
-                }
-                for ev in events {
-                    let kind = match ev.kind {
-                        EventKind::Arrival(id) => EventKind::Arrival(local_id(ids, id)),
-                        EventKind::Completion { flow, version } => {
-                            EventKind::Completion { flow: local_id(ids, flow), version }
-                        }
-                        EventKind::Reconfigure(_) | EventKind::Fault(_) => {
-                            // lint:allow(panic-in-engine): routed events were filtered to
-                            // arrivals/completions above.
-                            unreachable!("filtered above")
-                        }
-                    };
-                    sub.events.push(Reverse(Event { time_s: ev.time_s, seq: ev.seq, kind }));
-                }
-                sub
+            .flatten()
+            .copied()
+            .filter(|&f| self.flows[f].state != FlowState::Done)
+            .collect();
+        armed.sort_unstable();
+        let mut queued: Vec<FlowId> = std::mem::take(&mut self.events)
+            .into_iter()
+            .map(|Reverse(ev)| match ev.kind {
+                EventKind::Arrival(id) => id,
+                _ => usize::MAX,
             })
             .collect();
-        let outcomes: Vec<ShardOutcome> = subs.into_par_iter().map(ShardOutcome::run).collect();
-        for (ids, out) in shards.iter().zip(&outcomes) {
+        queued.sort_unstable();
+        assert!(
+            self.now_s == 0.0 && armed == queued,
+            "run_shards needs a window origin: clock at 0 and only the listed flows' arrivals queued"
+        );
+        let outcomes: Vec<ShardOutcome> =
+            shards.par_iter().map(|ids| ShardOutcome::run(self.shard_engine(ids))).collect();
+        for (ids, out) in shards.iter().zip(outcomes) {
             for (&f, done) in ids.iter().zip(&out.flows) {
                 let flow = &mut self.flows[f];
                 flow.state = done.state;
                 flow.remaining_bytes = done.remaining_bytes;
-                flow.rate_bps = 0.0;
                 flow.settled_s = done.settled_s;
-                flow.version = flow.version.max(done.version) + 1;
                 flow.completion_s = done.completion_s;
             }
             for &(key, bytes) in &out.link_bytes {
@@ -928,17 +712,30 @@ impl FluidEngine {
                     .links
                     .lookup(key)
                     // lint:allow(panic-in-engine): every shard link was copied
-                    // out of the parent arena at shard build.
+                    // out of this engine's arena by shard_engine.
                     .expect("shard links are interned in the parent");
                 self.link_bytes[gid as usize] = bytes;
             }
             self.stats.absorb(&out.stats);
             self.now_s = self.now_s.max(out.now_s);
-            self.next_seq = self.next_seq.max(out.next_seq);
         }
-        for v in &mut self.active_on_link {
-            v.clear();
+    }
+
+    /// A fresh engine holding only `ids`, armed as [`Self::add_flow`] arms
+    /// them, over this engine's effective capacities on their links.
+    fn shard_engine(&self, ids: &[FlowId]) -> FluidEngine {
+        let mut caps: BTreeMap<LinkKey, f64> = BTreeMap::new();
+        for &f in ids {
+            for &lid in self.span(f) {
+                caps.insert(self.links.key(lid), self.links.cap(lid));
+            }
         }
+        let mut sub = FluidEngine::from_capacities(caps, self.per_hop_latency_s);
+        sub.stragglers = self.stragglers.clone();
+        for &f in ids {
+            sub.add_flow(self.flows[f].spec.clone());
+        }
+        sub
     }
 
     /// Process events up to and including `t_end`, then settle every active
@@ -994,7 +791,6 @@ impl FluidEngine {
                     EventKind::Fault(idx) => {
                         self.stats.events += 1;
                         self.stats.faults += 1;
-                        self.outstanding_faults -= 1;
                         let fault = self.pending_faults[idx];
                         self.apply_fault_state(fault, &mut seeds);
                     }
@@ -1111,7 +907,6 @@ impl FluidEngine {
     /// link whose transceiver (or OCS port) is still dead, so links with a
     /// positive failure count keep an effective capacity of zero.
     fn apply_reconfig(&mut self, idx: usize) {
-        self.outstanding_reconfigs -= 1;
         self.links.zero_caps();
         for h in &mut self.healthy_caps {
             *h = 0.0;
@@ -1299,7 +1094,7 @@ impl FluidEngine {
     }
 }
 
-/// What [`FluidEngine::run_sharded`] merges back from one shard. The
+/// What [`FluidEngine::run_shards`] merges back from one shard. The
 /// shard engine runs and is dropped on its worker thread, so its event
 /// heap, adjacency and scratch are freed as each shard finishes rather
 /// than all staying alive until the merge.
@@ -1310,12 +1105,11 @@ struct ShardOutcome {
     link_bytes: Vec<(LinkKey, f64)>,
     stats: EngineStats,
     now_s: f64,
-    next_seq: u64,
 }
 
 impl ShardOutcome {
     fn run(mut sub: FluidEngine) -> Self {
-        sub.run_monolithic();
+        sub.run();
         let link_bytes = (0..sub.links.len())
             .map(|sid| (sub.links.key(dense_u32(sid)), sub.link_bytes[sid]))
             .collect();
@@ -1324,17 +1118,8 @@ impl ShardOutcome {
             link_bytes,
             stats: sub.stats,
             now_s: sub.now_s,
-            next_seq: sub.next_seq,
         }
     }
-}
-
-/// Local (shard-relative) index of a global flow id within a shard's
-/// ascending member list.
-fn local_id(ids: &[FlowId], global: FlowId) -> FlowId {
-    // lint:allow(panic-in-engine): run_sharded routes each event by
-    // shard_of before translating, so the owner list holds the id.
-    ids.binary_search(&global).expect("event routed to the shard owning its flow")
 }
 
 /// Max-min rates of one component's live flows, aligned with `live`
@@ -1416,54 +1201,92 @@ mod tests {
         assert!(r.completion_s.iter().all(|c| c.is_finite()));
     }
 
-    #[test]
-    fn sharded_run_matches_the_monolithic_loop_bit_for_bit() {
-        // Three disjoint rings with staggered second-wave arrivals: run()
-        // takes the sharded path, run_monolithic() the single loop; every
-        // observable — completions, bytes, carried sum, stats — must agree
-        // exactly.
-        let mut g = Graph::new(12);
-        for base in [0usize, 4, 8] {
-            for i in 0..4 {
-                g.add_edge(base + i, base + (i + 1) % 4, 100.0);
-            }
-        }
-        let mut sharded = FluidEngine::new(&g, 1.0e-6);
-        for base in [0usize, 4, 8] {
-            for i in 0..4 {
-                let first =
-                    FlowSpec::new(vec![base + i, base + (i + 1) % 4], 50.0 * (1.0 + i as f64));
-                let mut second = first.clone();
-                second.start_s = 2.0 + base as f64;
-                sharded.add_flow(first);
-                sharded.add_flow(second);
-            }
-        }
-        let mut monolithic = sharded.clone();
-        sharded.run();
-        monolithic.run_monolithic();
+    /// Run a clone of `engine` through `run_shards(shards)` and another
+    /// through `run()`, and demand every observable agree bit for bit.
+    fn assert_shards_match_run(engine: &FluidEngine, shards: &[Vec<FlowId>]) {
+        let mut sharded = engine.clone();
+        let mut single = engine.clone();
+        sharded.run_shards(shards);
+        single.run();
         let a = sharded.result();
-        let b = monolithic.result();
+        let b = single.result();
+        assert_eq!(a.completion_s.len(), b.completion_s.len());
         for (x, y) in a.completion_s.iter().zip(&b.completion_s) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
         assert_eq!(a.carried_bytes.to_bits(), b.carried_bytes.to_bits());
         assert_eq!(a.link_bytes, b.link_bytes);
-        assert_eq!(sharded.stats(), monolithic.stats());
-        assert_eq!(sharded.now_s().to_bits(), monolithic.now_s().to_bits());
+        assert_eq!(sharded.stats(), single.stats());
+        assert_eq!(sharded.now_s().to_bits(), single.now_s().to_bits());
+    }
+
+    /// Disjoint 4-rings over `rings * 4` nodes.
+    fn disjoint_rings(rings: usize) -> Graph {
+        let mut g = Graph::new(rings * 4);
+        for r in 0..rings {
+            let base = r * 4;
+            for i in 0..4 {
+                g.add_edge(base + i, base + (i + 1) % 4, 100.0);
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn sharded_run_matches_the_monolithic_loop_bit_for_bit() {
+        // Three disjoint rings with staggered second-wave arrivals, one
+        // shard per ring (plus a zero-byte and a zero-hop flow that arming
+        // resolves): run_shards() and the single loop run() must agree on
+        // every observable — completions, bytes, carried sum, stats.
+        let g = disjoint_rings(3);
+        let mut engine = FluidEngine::new(&g, 1.0e-6);
+        let mut shards: Vec<Vec<FlowId>> = vec![Vec::new(); 3];
+        for (r, shard) in shards.iter_mut().enumerate() {
+            let base = r * 4;
+            for i in 0..4 {
+                let first =
+                    FlowSpec::new(vec![base + i, base + (i + 1) % 4], 50.0 * (1.0 + i as f64));
+                let mut second = first.clone();
+                second.start_s = 2.0 + base as f64;
+                shard.push(engine.add_flow(first));
+                shard.push(engine.add_flow(second));
+            }
+        }
+        shards[0].push(engine.add_flow(FlowSpec::new(vec![0, 1], 0.0)));
+        shards[1].push(engine.add_flow(FlowSpec::new(vec![4], 10.0)));
+        assert_shards_match_run(&engine, &shards);
     }
 
     #[test]
     fn coupled_flows_do_not_shard() {
-        // One shared hub link couples everything into a single component:
-        // run() must fall back to the monolithic loop and still be exact.
-        let g = ring(2, 100.0);
+        // Two flows coupled by one shared link must stay in one shard: that
+        // shard's loop is exact (both finish at 16 s), next to a disjoint
+        // singleton shard.
+        let mut g = Graph::new(4);
+        g.add_edge(0, 1, 100.0);
+        g.add_edge(2, 3, 100.0);
         let mut engine = FluidEngine::new(&g, 0.0);
         let a = engine.add_flow(FlowSpec::new(vec![0, 1], 100.0));
         let b = engine.add_flow(FlowSpec::new(vec![0, 1], 100.0));
-        engine.run();
+        let c = engine.add_flow(FlowSpec::new(vec![2, 3], 100.0));
+        assert_shards_match_run(&engine, &[vec![a, b], vec![c]]);
+        engine.run_shards(&[vec![a, b], vec![c]]);
         assert!((engine.completion_s(a) - 16.0).abs() < 1e-9);
         assert!((engine.completion_s(b) - 16.0).abs() < 1e-9);
+        assert!((engine.completion_s(c) - 8.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "run_shards needs a window origin")]
+    fn run_shards_rejects_an_engine_past_its_window_origin() {
+        let g = disjoint_rings(2);
+        let mut engine = FluidEngine::new(&g, 0.0);
+        let a = engine.add_flow(FlowSpec::new(vec![0, 1], 100.0));
+        let mut late = FlowSpec::new(vec![4, 5], 100.0);
+        late.start_s = 5.0;
+        let b = engine.add_flow(late);
+        engine.run_until(1.0);
+        engine.run_shards(&[vec![a], vec![b]]);
     }
 
     #[test]
@@ -1644,41 +1467,29 @@ mod tests {
 
     #[test]
     fn sharded_run_stays_bit_identical_after_faults_are_applied() {
-        // Two disjoint rings take a fault each (a dead link, a straggler);
-        // run_until applies them, then run() shards over the degraded
-        // state. The sharded continuation must match the monolithic one
-        // bit for bit — effective capacities and straggler factors are
-        // part of the transplanted state.
-        let mut g = Graph::new(8);
-        for base in [0usize, 4] {
+        // Two disjoint rings take a fault each (a dead link, a straggler)
+        // as applied state at the window origin, as the rebuild oracle
+        // carries a fault history. The shards inherit effective capacities
+        // and straggler factors, so they must match the single loop bit for
+        // bit.
+        let g = disjoint_rings(2);
+        let mut engine = FluidEngine::new(&g, 1.0e-6);
+        let mut shards: Vec<Vec<FlowId>> = vec![Vec::new(); 2];
+        for (r, shard) in shards.iter_mut().enumerate() {
+            let base = r * 4;
             for i in 0..4 {
-                g.add_edge(base + i, base + (i + 1) % 4, 100.0);
-            }
-        }
-        let mut sharded = FluidEngine::new(&g, 1.0e-6);
-        for base in [0usize, 4] {
-            for i in 0..4 {
-                sharded.add_flow(FlowSpec::new(
+                shard.push(engine.add_flow(FlowSpec::new(
                     vec![base + i, base + (i + 1) % 4],
                     80.0 * (1.0 + i as f64),
-                ));
+                )));
             }
         }
-        sharded.schedule_fault(1.0, FaultEvent::LinkDown((0, 1)));
-        sharded.schedule_fault(2.5, FaultEvent::LinkUp((0, 1)));
-        sharded.schedule_fault(1.5, FaultEvent::Straggler { server: 5, egress_factor: 0.3 });
-        let mut monolithic = sharded.clone();
-        sharded.run_until(3.0);
-        sharded.run();
-        monolithic.run_until(3.0);
-        monolithic.run_monolithic();
-        let a = sharded.result();
-        let b = monolithic.result();
-        for (x, y) in a.completion_s.iter().zip(&b.completion_s) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert_eq!(a.carried_bytes.to_bits(), b.carried_bytes.to_bits());
-        assert_eq!(sharded.stats(), monolithic.stats());
+        engine.apply_fault_now(FaultEvent::LinkDown((0, 1)));
+        engine.apply_fault_now(FaultEvent::Straggler { server: 5, egress_factor: 0.3 });
+        assert_shards_match_run(&engine, &shards);
+        engine.run_shards(&shards);
+        assert!(engine.completion_s(shards[0][0]).is_infinite(), "flow on the dead link");
+        assert!(engine.completion_s(shards[1][1]).is_finite());
     }
 
     #[test]

@@ -37,11 +37,13 @@
 //! tree/hash lookups on the hot path. `BTreeMap`-ordered semantics are
 //! kept only at the API boundary and as the arena's key-sorted id list,
 //! which pins the order of every order-sensitive float reduction — the
-//! flat core is bit-identical to the map-keyed one. On top, a fresh
-//! engine whose flows split into disjoint connected components shards
-//! into parallel per-component event loops (own heap, own clock) with a
-//! deterministic, bit-identical merge. See the [`engine`] and
-//! `arena` module docs for the determinism contracts.
+//! flat core is bit-identical to the map-keyed one. [`FluidEngine::run`]
+//! is the one event loop. The shared-cluster window in [`multijob`]
+//! already partitions its resident jobs into disjoint link components;
+//! at the window origin it runs each dirty component in its own
+//! sub-engine on a rayon thread and merges the outcomes, bit-identical to
+//! the single loop. See the [`engine`] and `arena` module docs for the
+//! determinism contracts.
 //!
 //! # Modules
 //!

@@ -160,10 +160,11 @@ pub fn build_job_flows(
 /// Each job's flows (built beforehand, e.g. by [`build_job_flows`]) are
 /// offset by its arrival; the engine then simulates them together,
 /// re-rating only the connected component each completion touches —
-/// disjoint TopoOpt shards never pay for each other's events. The fluid
-/// engine's work counters come back alongside the result, so scale
-/// experiments can report how much incremental/sharded recomputation the
-/// round actually cost (events, waterfills, largest re-rated component).
+/// disjoint TopoOpt shards never pay for each other's events, and each
+/// disjoint job component runs in its own event loop. The fluid engine's
+/// work counters come back alongside the result, so scale experiments can
+/// report how much incremental recomputation the round actually cost
+/// (events, waterfills, largest re-rated component).
 pub fn simulate_shared_cluster_stats(
     net: &SimNetwork,
     jobs: &[JobSpec],
@@ -224,7 +225,7 @@ pub(crate) fn shared_round_times_with_faults(
 }
 
 /// The historical rebuild-per-call round core: a fresh engine, every link
-/// re-interned, every job's flows re-added, one monolithic-or-sharded run.
+/// re-interned, every job's flows re-added, one single-loop run.
 /// [`shared_round_times_with_faults`] (and the dynamic loop's persistent window path)
 /// must stay bit-identical to this; proptests in `tests/dynamic.rs` replay
 /// random traces through both, and `benches/scale.rs` uses it as the
@@ -343,7 +344,10 @@ struct SharedSlot {
 /// ([`FluidEngine::add_flow_parked`]), departure retires them
 /// ([`FluidEngine::remove_flows`]), and each window restarts and re-rates
 /// only the connected components the arrival/departure touched — every
-/// other resident keeps its cached round time.
+/// other resident keeps its cached round time. Two or more dirty
+/// components run as separate event loops
+/// ([`FluidEngine::run_shards`]), since the window origin is exactly the
+/// state a shard may start from.
 ///
 /// # Why the cache is exact
 ///
@@ -473,8 +477,10 @@ impl SharedFabricEngine {
     /// Simulate one event window: partition residents into job-level
     /// components over shared links, propagate dirtiness within each
     /// component, restart and re-rate exactly the dirty components'
-    /// flows, and refresh their cached round times. Untouched components
-    /// cost nothing — not even a restarted arrival event.
+    /// flows — one event loop per component when there are several and
+    /// no fault is pending — and refresh their cached round times.
+    /// Untouched components cost nothing — not even a restarted arrival
+    /// event.
     pub fn run_window(&mut self) {
         // Job-level union-find over each slot's distinct link list,
         // epoch-stamped so the link→slot map never refills.
@@ -530,38 +536,50 @@ impl SharedFabricEngine {
             let slot = self.slots[i].as_mut().expect("checked above");
             slot.component = cid;
         }
-        // Collect the dirty components' flows, ascending (admission order),
+        // Collect each dirty component's flows, ascending (admission order),
         // reproducing the rebuild core's flow ordering per component.
-        let mut dirty_flows: Vec<FlowId> = Vec::new();
+        let mut shards: Vec<Vec<FlowId>> = vec![Vec::new(); comp_dirty.len()];
         let mut dirty_jobs = 0usize;
         for slot in self.slots.iter_mut().flatten() {
             if comp_dirty[slot.component as usize] {
                 slot.dirty = true;
                 dirty_jobs += 1;
-                dirty_flows.extend(slot.flow_ids.iter().copied());
+                shards[slot.component as usize].extend(slot.flow_ids.iter().copied());
             }
+        }
+        shards.retain(|ids| !ids.is_empty());
+        for ids in &mut shards {
+            ids.sort_unstable();
         }
         self.windows.windows += 1;
         self.windows.jobs_rerated += dirty_jobs;
         self.windows.jobs_reused += total_jobs - dirty_jobs;
-        if dirty_jobs < total_jobs || dirty_flows.is_empty() {
+        if dirty_jobs < total_jobs || shards.is_empty() {
             self.windows.windows_incremental += 1;
         } else {
             self.windows.windows_rebuilt += 1;
         }
-        if dirty_flows.is_empty() && self.pending_faults.is_empty() {
+        if shards.is_empty() && self.pending_faults.is_empty() {
             return; // the whole window served from cache
         }
+        let mut dirty_flows = shards.concat();
         dirty_flows.sort_unstable();
         self.engine.restart_flows(&dirty_flows);
-        // Faults enter through the queue at the window origin. Restarted
-        // arrivals carry lower sequence numbers, so the t=0 batch orders
-        // arrivals before faults — exactly like the rebuild oracle, which
-        // adds every flow before scheduling the window's faults.
-        for fault in std::mem::take(&mut self.pending_faults) {
-            self.engine.schedule_fault(0.0, fault);
+        if shards.len() > 1 && self.pending_faults.is_empty() {
+            // Disjoint job components at the window origin: one event loop
+            // each, bit-identical to the single loop.
+            self.engine.run_shards(&shards);
+        } else {
+            // Faults enter through the queue at the window origin.
+            // Restarted arrivals carry lower sequence numbers, so the t=0
+            // batch orders arrivals before faults — exactly like the
+            // rebuild oracle, which adds every flow before scheduling the
+            // window's faults.
+            for fault in std::mem::take(&mut self.pending_faults) {
+                self.engine.schedule_fault(0.0, fault);
+            }
+            self.engine.run();
         }
-        self.engine.run();
         for slot in self.slots.iter_mut().flatten() {
             if !slot.dirty {
                 continue;
@@ -1080,7 +1098,7 @@ pub fn simulate_dynamic_cluster(
     debug_assert!(
         !truncated || params.window_cap.is_some(),
         "default event guard exhausted with work pending: each loop iteration \
-         processes exactly one arrival or departure, so 4*jobs+16 cannot run out"
+         processes exactly one arrival or departure, so 4*jobs+faults+16 cannot run out"
     );
     let engine_stats = persist.as_ref().map(|sim| sim.stats()).unwrap_or(ref_stats);
 

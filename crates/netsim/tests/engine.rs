@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use topoopt_graph::Graph;
 use topoopt_netsim::fluid::{simulate_flows, simulate_flows_reference, FlowSpec};
-use topoopt_netsim::FluidEngine;
+use topoopt_netsim::{simulate_shared_cluster_stats, FluidEngine, JobSpec, SimNetwork};
 
 /// Mixed absolute/relative closeness at the 1e-9 level (the two simulators
 /// settle float progress in different orders).
@@ -172,19 +172,60 @@ proptest! {
     }
 }
 
+/// Run the disjoint ring jobs as one shared-cluster round twice — serially
+/// (`RAYON_NUM_THREADS=1`) and with the default thread team — and demand
+/// byte-identical results. Each ring job is its own job component, so the
+/// round fans out into one event loop per ring. Both must also agree bit
+/// for bit with the single event loop over the same flows.
+fn assert_round_thread_count_invariant(g: &Graph, flows_by_ring: &[Vec<FlowSpec>]) {
+    let net = SimNetwork::without_rules(g.clone(), g.num_nodes());
+    let jobs: Vec<JobSpec> = flows_by_ring
+        .iter()
+        .enumerate()
+        .map(|(r, flows)| JobSpec::new(format!("ring{r}"), flows.clone(), 0.5))
+        .collect();
+    // Env mutation is safe here: reads go through std::env (internally
+    // serialized; no C-level getenv in this process), and a concurrently
+    // running test that transiently sees the capped value only loses
+    // parallelism, never determinism — the property this test asserts.
+    std::env::set_var("RAYON_NUM_THREADS", "1");
+    let (serial, serial_stats) = simulate_shared_cluster_stats(&net, &jobs);
+    std::env::remove_var("RAYON_NUM_THREADS");
+    let (parallel, parallel_stats) = simulate_shared_cluster_stats(&net, &jobs);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&serial.per_job_total_s), bits(&parallel.per_job_total_s));
+    assert_eq!(serial.p99_s.to_bits(), parallel.p99_s.to_bits());
+    assert_eq!(serial_stats, parallel_stats);
+
+    // Single-loop oracle over the same flows, in the same order.
+    let all: Vec<FlowSpec> = flows_by_ring.iter().flatten().cloned().collect();
+    let single = simulate_flows(g, &all, net.per_hop_latency_s);
+    let mut next = 0;
+    for (r, flows) in flows_by_ring.iter().enumerate() {
+        let comm = single.completion_s[next..next + flows.len()]
+            .iter()
+            .fold(f64::NEG_INFINITY, |m, &c| m.max(c));
+        next += flows.len();
+        let total = 0.5 + comm.max(0.0);
+        assert_eq!(
+            serial.per_job_total_s[r].to_bits(),
+            total.to_bits(),
+            "ring {r} diverged between sharded and single loops"
+        );
+    }
+}
+
 #[test]
 fn sharded_event_loops_are_deterministic_across_thread_counts() {
-    // The sharded `run()` path: a fresh engine over disjoint rings (with
-    // staggered arrivals inside each ring, so every shard runs a real
-    // multi-event loop) must be byte-identical between a serial run
-    // (RAYON_NUM_THREADS=1) and the default parallel one, and bit-equal to
-    // the monolithic single-heap loop.
+    // Disjoint ring jobs with staggered arrivals inside each ring, so every
+    // shard runs a real multi-event loop.
     let rings = 12usize;
     let size = 6usize;
     let mut g = Graph::new(rings * size);
-    let mut flows = Vec::new();
+    let mut flows_by_ring = Vec::new();
     for r in 0..rings {
         let base = r * size;
+        let mut flows = Vec::new();
         for i in 0..size {
             g.add_edge(base + i, base + (i + 1) % size, 100.0);
             let mut f = FlowSpec::new(
@@ -194,32 +235,11 @@ fn sharded_event_loops_are_deterministic_across_thread_counts() {
             f.start_s = 0.25 * ((r + i) % 3) as f64;
             flows.push(f);
         }
+        flows_by_ring.push(flows);
     }
-    // See the env-mutation note in
-    // parallel_component_waterfilling_is_deterministic_across_thread_counts.
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let serial = simulate_flows(&g, &flows, 1.0e-4);
-    std::env::remove_var("RAYON_NUM_THREADS");
-    let parallel = simulate_flows(&g, &flows, 1.0e-4);
-    assert_eq!(serial.completion_s, parallel.completion_s);
-    assert_eq!(serial.makespan_s, parallel.makespan_s);
-    assert_eq!(serial.carried_bytes, parallel.carried_bytes);
-    assert_eq!(serial.link_bytes, parallel.link_bytes);
-
-    // Monolithic oracle: same engine, single heap, bit-equal output.
-    let mut mono = FluidEngine::new(&g, 1.0e-4);
-    let ids: Vec<_> = flows.iter().map(|f| mono.add_flow(f.clone())).collect();
-    mono.run_monolithic();
-    for (i, id) in ids.iter().enumerate() {
-        assert_eq!(
-            serial.completion_s[i].to_bits(),
-            mono.completion_s(*id).to_bits(),
-            "flow {i} diverged between sharded and monolithic loops"
-        );
-    }
-    assert_eq!(serial.carried_bytes.to_bits(), mono.carried_bytes().to_bits());
-
-    assert_equivalent(&g, &flows, 1.0e-4);
+    assert_round_thread_count_invariant(&g, &flows_by_ring);
+    let all: Vec<FlowSpec> = flows_by_ring.concat();
+    assert_equivalent(&g, &all, 1.0e-4);
 }
 
 #[test]
@@ -269,18 +289,16 @@ fn reconfig_pauses_and_resumes_consistently() {
 
 #[test]
 fn parallel_component_waterfilling_is_deterministic_across_thread_counts() {
-    // A t = 0 arrival wave across 24 disjoint rings (each with all
-    // intra-ring neighbour+chord flows): one event batch re-waterfills
-    // many components, and the sharded run spreads the rings over rayon
-    // threads. A serial run (RAYON_NUM_THREADS=1) and a parallel run must
-    // produce byte-identical results, since per-component rates are
-    // applied in component order and shards merge in component order.
+    // A t = 0 arrival wave across 24 disjoint ring jobs (each with all
+    // intra-ring neighbour+chord flows): every shard opens with a batch
+    // that water-fills its ring, and the shards spread over rayon threads.
     let rings = 24usize;
     let size = 6usize;
     let mut g = Graph::new(rings * size);
-    let mut flows = Vec::new();
+    let mut flows_by_ring = Vec::new();
     for r in 0..rings {
         let base = r * size;
+        let mut flows = Vec::new();
         for i in 0..size {
             g.add_edge(base + i, base + (i + 1) % size, 100.0);
             flows.push(FlowSpec::new(
@@ -294,21 +312,12 @@ fn parallel_component_waterfilling_is_deterministic_across_thread_counts() {
                 25.0 * (1.0 + ((r * 5 + i) % 7) as f64),
             ));
         }
+        flows_by_ring.push(flows);
     }
-    // Env mutation is safe here: reads go through std::env (internally
-    // serialized; no C-level getenv in this process), and a concurrently
-    // running test that transiently sees the capped value only loses
-    // parallelism, never determinism — the property this test asserts.
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let serial = simulate_flows(&g, &flows, 1.0e-4);
-    std::env::remove_var("RAYON_NUM_THREADS");
-    let parallel = simulate_flows(&g, &flows, 1.0e-4);
-    assert_eq!(serial.completion_s, parallel.completion_s);
-    assert_eq!(serial.makespan_s, parallel.makespan_s);
-    assert_eq!(serial.carried_bytes, parallel.carried_bytes);
-    assert_eq!(serial.link_bytes, parallel.link_bytes);
-    // And both agree with the from-scratch oracle.
-    assert_equivalent(&g, &flows, 1.0e-4);
+    assert_round_thread_count_invariant(&g, &flows_by_ring);
+    // And the flows agree with the from-scratch oracle.
+    let all: Vec<FlowSpec> = flows_by_ring.concat();
+    assert_equivalent(&g, &all, 1.0e-4);
 }
 
 #[test]
@@ -343,83 +352,4 @@ fn incremental_engine_does_less_work_on_disjoint_shards() {
         "incremental recomputation exceeded one shard per event: {stats:?}"
     );
     assert_equivalent(&g, &engine_flows, 0.0);
-}
-
-/// Disjoint rings with staggered early flows plus a wave of late arrivals:
-/// the fixture for the mid-run sharding tests below.
-fn mid_run_workload() -> (Graph, Vec<FlowSpec>, Vec<FlowSpec>) {
-    let rings = 10usize;
-    let size = 5usize;
-    let mut g = Graph::new(rings * size);
-    let mut early = Vec::new();
-    let mut late = Vec::new();
-    for r in 0..rings {
-        let base = r * size;
-        for i in 0..size {
-            g.add_edge(base + i, base + (i + 1) % size, 100.0);
-            let mut f = FlowSpec::new(
-                vec![base + i, base + (i + 1) % size, base + (i + 2) % size],
-                35.0 * (1.0 + ((r * 11 + i) % 8) as f64),
-            );
-            f.start_s = 0.2 * ((r + 2 * i) % 4) as f64;
-            early.push(f);
-            let mut f = FlowSpec::new(
-                vec![base + i, base + (i + 1) % size],
-                20.0 * (1.0 + ((r * 3 + i) % 5) as f64),
-            );
-            f.start_s = 2.0 + 0.1 * ((r + i) % 3) as f64;
-            late.push(f);
-        }
-    }
-    (g, early, late)
-}
-
-#[test]
-fn mid_run_sharding_matches_monolithic_oracle() {
-    // Partial monolithic progress, then new arrivals, then `run()`: the
-    // engine now shards *mid-run* — live flows with in-flight progress and
-    // pending events are transplanted into per-component event loops — and
-    // the merged outcome must be bit-identical to never sharding at all.
-    let (g, early, late) = mid_run_workload();
-    let run_split = |shard: bool| {
-        let mut e = FluidEngine::new(&g, 1.0e-4);
-        let mut ids: Vec<_> = early.iter().map(|f| e.add_flow(f.clone())).collect();
-        e.run_until(1.0); // in-flight progress and pending completions
-        ids.extend(late.iter().map(|f| e.add_flow(f.clone())));
-        if shard {
-            e.run();
-        } else {
-            e.run_monolithic();
-        }
-        let done: Vec<u64> = ids.iter().map(|&id| e.completion_s(id).to_bits()).collect();
-        (done, e.carried_bytes().to_bits(), e.stats().events)
-    };
-    let (sharded, sharded_bytes, sharded_events) = run_split(true);
-    let (mono, mono_bytes, mono_events) = run_split(false);
-    assert_eq!(sharded, mono, "completions diverged after mid-run sharding");
-    assert_eq!(sharded_bytes, mono_bytes);
-    assert_eq!(sharded_events, mono_events, "shards must process the same event set");
-}
-
-#[test]
-fn mid_run_sharding_is_deterministic_across_thread_counts() {
-    // The transplanted shards run on rayon threads; a serial run
-    // (RAYON_NUM_THREADS=1) and the default parallel one must be
-    // byte-identical. See the env-mutation note in
-    // parallel_component_waterfilling_is_deterministic_across_thread_counts.
-    let (g, early, late) = mid_run_workload();
-    let run_once = || {
-        let mut e = FluidEngine::new(&g, 1.0e-4);
-        let mut ids: Vec<_> = early.iter().map(|f| e.add_flow(f.clone())).collect();
-        e.run_until(1.0);
-        ids.extend(late.iter().map(|f| e.add_flow(f.clone())));
-        e.run();
-        let done: Vec<u64> = ids.iter().map(|&id| e.completion_s(id).to_bits()).collect();
-        (done, e.carried_bytes().to_bits())
-    };
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let serial = run_once();
-    std::env::remove_var("RAYON_NUM_THREADS");
-    let parallel = run_once();
-    assert_eq!(serial, parallel, "mid-run sharding must not depend on thread count");
 }
