@@ -64,11 +64,6 @@ impl ClusterShards {
         }
     }
 
-    /// Servers of an active shard.
-    pub fn shard_servers(&self, shard_id: usize) -> Option<&Vec<usize>> {
-        self.shards.get(shard_id).and_then(|s| s.as_ref())
-    }
-
     /// Number of active shards.
     pub fn active_shards(&self) -> usize {
         self.shards.iter().filter(|s| s.is_some()).count()

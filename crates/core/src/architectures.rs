@@ -5,7 +5,6 @@
 //! bandwidth (the evaluation picks `B'` so the Fat-tree's cost matches
 //! TopoOpt — see `topoopt-cost`).
 
-use crate::topology_finder::TopologyFinderOutput;
 use serde::{Deserialize, Serialize};
 use topoopt_graph::topologies;
 use topoopt_graph::Graph;
@@ -83,9 +82,9 @@ pub struct BuiltNetwork {
 
 /// Build the static baseline architectures. `TopoOpt` and `OcsReconfig`
 /// depend on the traffic demands and are built from a
-/// [`TopologyFinderOutput`] (see [`built_from_finder`]) or from
+/// [`crate::TopologyFinderOutput`] or from
 /// [`crate::ocs_reconfig::ocs_reconfig_topology`] respectively; requesting
-/// them here builds the degree-matched expander placeholder so callers can
+/// them here builds the degree-matched circulant placeholder so callers can
 /// still measure a static fabric.
 pub fn build_architecture(
     arch: Architecture,
@@ -110,29 +109,12 @@ pub fn build_architecture(
         Architecture::Expander => topologies::expander(num_servers, degree, link_bps, seed),
         Architecture::TopoOpt | Architecture::OcsReconfig | Architecture::SipMl => {
             // Demand-aware fabrics need demands; callers use
-            // `built_from_finder` / the ocs_reconfig module. Provide the
+            // TopologyFinder / the ocs_reconfig module. Provide the
             // degree-matched circulant as a neutral static stand-in.
             topologies::circulant(num_servers, degree, link_bps)
         }
     };
     BuiltNetwork { architecture: arch, graph, num_servers, link_bps, degree }
-}
-
-/// Wrap a `TopologyFinder` result as a [`BuiltNetwork`] for the TopoOpt
-/// architecture.
-pub fn built_from_finder(
-    out: &TopologyFinderOutput,
-    num_servers: usize,
-    degree: usize,
-    link_bps: f64,
-) -> BuiltNetwork {
-    BuiltNetwork {
-        architecture: Architecture::TopoOpt,
-        graph: out.graph.clone(),
-        num_servers,
-        link_bps,
-        degree,
-    }
 }
 
 #[cfg(test)]

@@ -10,13 +10,13 @@
 //!   evaluation's "Fat-tree" baseline uses a full-bisection tree whose link
 //!   bandwidth is chosen so the total cost matches TopoOpt (§5.2).
 //! * [`expander`] — a Jellyfish-style random regular graph baseline.
-//! * [`directed_ring`] / [`ring_permutation`] — +p regular rings used for
-//!   AllReduce permutations (Figure 7).
+//! * [`ring_permutation`] — +p regular rings used for AllReduce
+//!   permutations (Figure 7).
 //! * [`from_permutations`] — assemble a direct-connect TopoOpt topology from
 //!   a set of ring permutations.
 //! * [`torus_2d`] — classic accelerator interconnect, used in ablations.
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::Graph;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -48,11 +48,6 @@ pub fn ideal_switch(n: usize, per_server_bps: f64) -> Graph {
         g.add_edge(hub, s, per_server_bps);
     }
     g
-}
-
-/// Node id of the hub created by [`ideal_switch`] for an `n`-server cluster.
-pub fn ideal_switch_hub(n: usize) -> NodeId {
-    n
 }
 
 /// Build a k-ary fat-tree with `k^3 / 4` hosts and full bisection bandwidth.
@@ -208,11 +203,6 @@ pub fn circulant(n: usize, d: usize, link_bps: f64) -> Graph {
         offset += 1;
     }
     g
-}
-
-/// Directed ring following the identity permutation: `i -> i+1 (mod n)`.
-pub fn directed_ring(n: usize, link_bps: f64) -> Graph {
-    ring_permutation(n, 1, link_bps)
 }
 
 /// The +p regular ring of Figure 7: a directed edge from `i` to

@@ -118,18 +118,6 @@ impl TrafficMatrix {
         }
         s
     }
-
-    /// CSV rendering (bytes), rows are sources.
-    pub fn to_csv(&self) -> String {
-        let mut s = String::new();
-        for src in 0..self.n {
-            let row: Vec<String> =
-                (0..self.n).map(|dst| format!("{:.1}", self.get(src, dst))).collect();
-            s.push_str(&row.join(","));
-            s.push('\n');
-        }
-        s
-    }
 }
 
 #[cfg(test)]

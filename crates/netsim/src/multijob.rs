@@ -18,6 +18,14 @@
 //!   every transition rewires the patch panel through the Active/Look-ahead
 //!   provisioner ([`topoopt_cluster::LookaheadProvisioner`]), so a job pays
 //!   the `switch_over_delay` that pre-provisioning could not hide.
+//!
+//! The dynamic loop prices a job's iteration through one private type,
+//! built once from [`DynamicClusterParams::fabric`] and
+//! [`DynamicClusterParams::shared_engine`]: alone on its own shard
+//! ([`solo_iteration_s`]), on a persistent `SharedFabricEngine` that
+//! re-rates only what each event touched, or on the rebuild oracle that
+//! re-simulates every window from scratch. The loop itself never branches
+//! on either setting.
 
 use crate::arena::{dense_u32, LinkId};
 use crate::engine::{EngineStats, FaultEvent, FlowId, FluidEngine};
@@ -594,12 +602,7 @@ impl SharedFabricEngine {
     }
 
     /// Round time of a resident job: compute plus its cached communication
-    /// completion (from the window origin).
-    pub fn round_total_s(&self, handle: usize) -> f64 {
-        self.round_total_from(handle, 0.0)
-    }
-
-    /// Round time measured from `arrival_s` inside the window (static
+    /// completion, measured from `arrival_s` inside the window (static
     /// shared rounds stagger jobs; the dynamic loop always passes 0).
     pub fn round_total_from(&self, handle: usize, arrival_s: f64) -> f64 {
         let slot = self.slots[handle].as_ref().expect("round time of a live slot");
@@ -725,7 +728,9 @@ impl std::fmt::Debug for MigrationMode {
     }
 }
 
-/// How the shared-fabric rates are maintained across event windows.
+/// How the shared-fabric rates are maintained across event windows (only
+/// read on [`DynamicFabric::Shared`]; a partitioned fabric prices every job
+/// alone on its shard either way).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SharedEngineMode {
     /// One long-lived [`FluidEngine`] across the run: admission parks the
@@ -734,9 +739,11 @@ pub enum SharedEngineMode {
     /// to [`SharedEngineMode::Rebuild`] (and the default).
     #[default]
     Persistent,
-    /// Rebuild the engine from scratch every arrival/departure window —
-    /// the historical behavior, kept as the equivalence reference and the
-    /// bench baseline.
+    /// Rebuild the engine from scratch every arrival/departure window,
+    /// replaying the cumulative fault history onto it — the historical
+    /// behavior, kept as the independent equivalence oracle and the bench
+    /// baseline. Admissions are probed on a one-window round under the
+    /// same history.
     Rebuild,
 }
 
@@ -766,7 +773,8 @@ pub struct DynamicClusterParams {
     /// Fabric fault schedule: each injection fires at its `time_s`,
     /// between (never splitting) arrival/departure windows, and re-rates
     /// the co-resident jobs it touches. Applies to the shared fabric;
-    /// a partitioned cluster's per-job shards ignore it.
+    /// a partitioned cluster's per-job shards ignore it (its outcomes are
+    /// bit-identical to a run without faults).
     pub faults: Vec<FaultInjection>,
 }
 
@@ -857,9 +865,205 @@ struct RunningJob {
     remaining_iters: f64,
     iter_s: f64,
     settled_s: f64,
-    /// Resident handle in the persistent [`SharedFabricEngine`] (`None` on
-    /// a partitioned fabric or in rebuild mode).
+    /// Resident handle from [`Pricing::admit`] (`None` unless the
+    /// persistent engine prices the job).
     slot: Option<usize>,
+}
+
+/// How the dynamic loop prices a job's iteration (§5.6, Appendix C):
+/// alone on its own TopoOpt shard, or sharing one switched fabric with
+/// every co-resident job. Built once from [`DynamicClusterParams::fabric`]
+/// and [`DynamicClusterParams::shared_engine`]; the loop only calls its
+/// methods and never looks at either setting again.
+enum Pricing {
+    /// Each job alone on its own shard topology ([`solo_iteration_s`]).
+    /// Shards are disjoint, so nothing re-rates and faults do not apply.
+    Partitioned { per_hop_latency_s: f64 },
+    /// One long-lived [`SharedFabricEngine`]: admission parks the job's
+    /// flows, departure retires them, and each window re-rates only the
+    /// components the event touched.
+    Persistent { net: SimNetwork, sim: Box<SharedFabricEngine> },
+    /// The independent oracle: every window re-rates the whole co-resident
+    /// set on a fresh engine ([`shared_round_times_rebuild`]) with the
+    /// cumulative fault history replayed, and each admission is probed on
+    /// a one-window round under the same history.
+    Rebuild { net: SimNetwork, faults: Vec<FaultEvent>, stats: DynamicEngineStats },
+}
+
+/// A priced admission: the job's solo iteration time and, for the
+/// persistent engine, the flows it parks if the job becomes a resident.
+struct Probe {
+    iter_s: f64,
+    flows: Vec<FlowSpec>,
+}
+
+impl Pricing {
+    fn new(params: &DynamicClusterParams) -> Self {
+        let net = match &params.fabric {
+            DynamicFabric::Partitioned => {
+                return Pricing::Partitioned { per_hop_latency_s: params.per_hop_latency_s }
+            }
+            DynamicFabric::Shared(g) => {
+                let mut net = SimNetwork::without_rules(g.clone(), params.total_servers);
+                net.per_hop_latency_s = params.per_hop_latency_s;
+                net
+            }
+        };
+        match params.shared_engine {
+            // Links intern once here, and every event window re-rates only
+            // what it touched.
+            SharedEngineMode::Persistent => {
+                Pricing::Persistent { sim: Box::new(SharedFabricEngine::new(&net)), net }
+            }
+            SharedEngineMode::Rebuild => {
+                Pricing::Rebuild { net, faults: Vec::new(), stats: DynamicEngineStats::default() }
+            }
+        }
+    }
+
+    /// Whether jobs own disjoint shards that the patch panel rewires at
+    /// every admission.
+    fn rewires_shards(&self) -> bool {
+        matches!(self, Pricing::Partitioned { .. })
+    }
+
+    /// Iteration time of `job` alone on `servers` — the admission
+    /// feasibility probe, and the seed before the co-resident set is
+    /// re-rated. The persistent engine probes on the job's own links
+    /// instead of rebuilding the full fabric: bit-identical, since rates
+    /// only see span links.
+    fn probe(&self, job: &DynamicJobSpec, servers: &[usize]) -> Probe {
+        match self {
+            Pricing::Partitioned { per_hop_latency_s } => {
+                Probe { iter_s: solo_iteration_s(job, *per_hop_latency_s), flows: Vec::new() }
+            }
+            Pricing::Persistent { net, sim } => {
+                let flows = build_job_flows(net, &job.demands, &job.plans, servers);
+                Probe { iter_s: sim.solo_total_s(&flows, job.compute_s), flows }
+            }
+            Pricing::Rebuild { net, faults, .. } => {
+                let flows = build_job_flows(net, &job.demands, &job.plans, servers);
+                let (r, _) = shared_round_times_with_faults(
+                    net,
+                    vec![flows],
+                    &[0.0],
+                    &[job.compute_s],
+                    faults,
+                );
+                Probe { iter_s: r.per_job_total_s[0], flows: Vec::new() }
+            }
+        }
+    }
+
+    /// Make a probed job a resident; returns its engine slot, if any.
+    fn admit(&mut self, probe: Probe, compute_s: f64) -> Option<usize> {
+        match self {
+            Pricing::Persistent { sim, .. } => Some(sim.admit(probe.flows, compute_s)),
+            _ => None,
+        }
+    }
+
+    /// Retire a departing resident.
+    fn retire(&mut self, slot: Option<usize>) {
+        if let (Pricing::Persistent { sim, .. }, Some(slot)) = (self, slot) {
+            sim.retire(slot);
+        }
+    }
+
+    /// Absorb one same-instant batch of fabric faults and re-rate the
+    /// running set under the new health state.
+    fn absorb_faults(
+        &mut self,
+        batch: impl IntoIterator<Item = FaultEvent>,
+        jobs: &[DynamicJobSpec],
+        running: &mut [RunningJob],
+        now: f64,
+    ) {
+        match self {
+            Pricing::Partitioned { .. } => return,
+            Pricing::Persistent { sim, .. } => batch.into_iter().for_each(|f| sim.inject_fault(f)),
+            Pricing::Rebuild { faults, .. } => faults.extend(batch),
+        }
+        self.rerate(jobs, running, now);
+    }
+
+    /// Settle progress to `now` and refresh every running job's iteration
+    /// time for the current co-resident set. The persistent engine re-rates
+    /// only the components the last event touched and reads cached values
+    /// for the rest — bit-identical to the rebuild oracle's full
+    /// re-simulation.
+    fn rerate(&mut self, jobs: &[DynamicJobSpec], running: &mut [RunningJob], now: f64) {
+        match self {
+            Pricing::Partitioned { .. } => {}
+            Pricing::Persistent { sim, .. } => {
+                // With pending faults the window still runs: the engine must
+                // absorb the new health state before the next admission probe.
+                if running.is_empty() && !sim.has_pending_faults() {
+                    return;
+                }
+                settle_running(running, now);
+                sim.run_window();
+                for r in running.iter_mut() {
+                    let slot = r.slot.expect("shared-fabric resident without a slot");
+                    r.iter_s = sim.round_total_from(slot, 0.0);
+                }
+            }
+            Pricing::Rebuild { net, faults, stats } => {
+                if running.is_empty() {
+                    return;
+                }
+                settle_running(running, now);
+                let flows_by_job: Vec<Vec<FlowSpec>> = running
+                    .iter()
+                    .map(|r| {
+                        let job = &jobs[r.job.index()];
+                        build_job_flows(net, &job.demands, &job.plans, &r.servers)
+                    })
+                    .collect();
+                let arrivals = vec![0.0; running.len()];
+                let computes: Vec<f64> =
+                    running.iter().map(|r| jobs[r.job.index()].compute_s).collect();
+                let (result, engine) =
+                    shared_round_times_rebuild(net, flows_by_job, &arrivals, &computes, faults);
+                stats.windows += 1;
+                stats.windows_rebuilt += 1;
+                stats.jobs_rerated += running.len();
+                stats.events += engine.events;
+                stats.waterfills += engine.waterfills;
+                stats.flows_rerated += engine.flows_rerated;
+                stats.max_component = stats.max_component.max(engine.max_component);
+                for (r, &iter_s) in running.iter_mut().zip(&result.per_job_total_s) {
+                    r.iter_s = iter_s;
+                }
+            }
+        }
+    }
+
+    /// Window and engine counters for the run so far.
+    fn stats(&self) -> DynamicEngineStats {
+        match self {
+            Pricing::Partitioned { .. } => DynamicEngineStats::default(),
+            Pricing::Persistent { sim, .. } => sim.stats(),
+            Pricing::Rebuild { stats, .. } => *stats,
+        }
+    }
+}
+
+/// Everything the dynamic loop carries between events except the event
+/// cursors and the clock.
+struct ClusterState<'a> {
+    jobs: &'a [DynamicJobSpec],
+    params: &'a DynamicClusterParams,
+    pricing: Pricing,
+    shards: ClusterShards,
+    provisioner: LookaheadProvisioner,
+    /// Stale wiring (global server ids) left behind by departed jobs; only
+    /// maintained in planned-migration mode, where the planner needs the
+    /// source fabric of each shard migration. Atomic mode never reads it.
+    stale_links: Graph,
+    queue: VecDeque<usize>,
+    running: Vec<RunningJob>,
+    outcomes: Vec<DynamicJobOutcome>,
 }
 
 /// Simulate a dynamic shared cluster: jobs queue FIFO for server shards,
@@ -880,22 +1084,6 @@ pub fn simulate_dynamic_cluster(
     jobs: &[DynamicJobSpec],
     params: &DynamicClusterParams,
 ) -> DynamicClusterResult {
-    let shared_net = match &params.fabric {
-        DynamicFabric::Shared(g) => {
-            let mut net = SimNetwork::without_rules(g.clone(), params.total_servers);
-            net.per_hop_latency_s = params.per_hop_latency_s;
-            Some(net)
-        }
-        DynamicFabric::Partitioned => None,
-    };
-    // The long-lived shared-fabric engine (tentpole): links intern once
-    // here, and every event window re-rates only what it touched.
-    let mut persist: Option<SharedFabricEngine> = match (&shared_net, params.shared_engine) {
-        (Some(net), SharedEngineMode::Persistent) => Some(SharedFabricEngine::new(net)),
-        _ => None,
-    };
-    let mut ref_stats = DynamicEngineStats::default();
-
     let mut order: Vec<usize> = (0..jobs.len()).collect();
     order.sort_by(|&a, &b| jobs[a].arrival_s.total_cmp(&jobs[b].arrival_s).then_with(|| a.cmp(&b)));
 
@@ -904,36 +1092,32 @@ pub fn simulate_dynamic_cluster(
         params.faults[a].time_s.total_cmp(&params.faults[b].time_s).then_with(|| a.cmp(&b))
     });
     let mut next_fault = 0usize;
-    // Rebuild mode has no persistent engine to carry fabric health across
-    // windows, so the cumulative injection history is replayed onto every
-    // fresh engine instead.
-    let mut fault_log: Vec<FaultEvent> = Vec::new();
 
-    let mut outcomes: Vec<DynamicJobOutcome> = jobs
-        .iter()
-        .map(|j| DynamicJobOutcome {
-            name: j.name.clone(),
-            arrival_s: j.arrival_s,
-            admitted_s: f64::INFINITY,
-            switch_over_delay_s: 0.0,
-            start_s: f64::INFINITY,
-            finish_s: f64::INFINITY,
-            iteration_s: f64::INFINITY,
-            completed: false,
-            rewiring: None,
-        })
-        .collect();
-
-    let mut shards = ClusterShards::new(params.total_servers);
-    // Stale wiring (global server ids) left behind by departed jobs; only
-    // maintained in planned-migration mode, where the planner needs the
-    // source fabric of each shard migration. Atomic mode never reads it.
-    let planned_mode = matches!(params.migration, MigrationMode::Planned(_));
-    let mut stale_links = Graph::new(params.total_servers);
-    let mut provisioner = LookaheadProvisioner::new(params.provisioning_time_s);
-    let mut queue: VecDeque<usize> = VecDeque::new();
+    let mut c = ClusterState {
+        jobs,
+        params,
+        pricing: Pricing::new(params),
+        shards: ClusterShards::new(params.total_servers),
+        provisioner: LookaheadProvisioner::new(params.provisioning_time_s),
+        stale_links: Graph::new(params.total_servers),
+        queue: VecDeque::new(),
+        running: Vec::new(),
+        outcomes: jobs
+            .iter()
+            .map(|j| DynamicJobOutcome {
+                name: j.name.clone(),
+                arrival_s: j.arrival_s,
+                admitted_s: f64::INFINITY,
+                switch_over_delay_s: 0.0,
+                start_s: f64::INFINITY,
+                finish_s: f64::INFINITY,
+                iteration_s: f64::INFINITY,
+                completed: false,
+                rewiring: None,
+            })
+            .collect(),
+    };
     let mut next_arrival = 0usize;
-    let mut running: Vec<RunningJob> = Vec::new();
     let mut now = 0.0f64;
     let mut guard = 0usize;
     // Each loop iteration processes exactly one arrival, one departure, or
@@ -945,7 +1129,8 @@ pub fn simulate_dynamic_cluster(
     while guard < max_events {
         guard += 1;
         let arrival_t = order.get(next_arrival).map(|&j| jobs[j].arrival_s);
-        let departure = running
+        let departure = c
+            .running
             .iter()
             .enumerate()
             .filter(|(_, r)| r.iter_s.is_finite() && r.iter_s > 0.0)
@@ -959,34 +1144,19 @@ pub fn simulate_dynamic_cluster(
             fault_order.get(next_fault).map(|&i| params.faults[i].time_s).filter(|&ft| {
                 arrival_t.is_none_or(|a| ft <= a)
                     && departure.is_none_or(|(d, _)| ft <= d)
-                    && (arrival_t.is_some() || departure.is_some() || !running.is_empty())
+                    && (arrival_t.is_some() || departure.is_some() || !c.running.is_empty())
             });
         if let Some(ft) = fault_due {
             now = now.max(ft);
-            settle_running(&mut running, now);
-            while let Some(&i) = fault_order.get(next_fault) {
-                if params.faults[i].time_s.total_cmp(&ft) != std::cmp::Ordering::Equal {
-                    break;
-                }
-                match persist.as_mut() {
-                    Some(sim) => sim.inject_fault(params.faults[i].event),
-                    None => fault_log.push(params.faults[i].event),
-                }
+            let first = next_fault;
+            while fault_order
+                .get(next_fault)
+                .is_some_and(|&i| params.faults[i].time_s.total_cmp(&ft).is_eq())
+            {
                 next_fault += 1;
             }
-            if let Some(net) = shared_net.as_ref() {
-                match persist.as_mut() {
-                    Some(sim) => refresh_shared_rates_persistent(sim, &mut running, now),
-                    None => refresh_shared_rates_reference(
-                        jobs,
-                        net,
-                        &mut running,
-                        now,
-                        &mut ref_stats,
-                        &fault_log,
-                    ),
-                }
-            }
+            let batch = fault_order[first..next_fault].iter().map(|&i| params.faults[i].event);
+            c.pricing.absorb_faults(batch, jobs, &mut c.running, now);
             continue;
         }
 
@@ -999,94 +1169,16 @@ pub fn simulate_dynamic_cluster(
             // visible to the arriving job.
             (arr, Some((dep_t, k))) if arr.map(|a| dep_t <= a).unwrap_or(true) => {
                 now = now.max(dep_t);
-                settle_running(&mut running, now);
-                let done = running.swap_remove(k);
-                let j = done.job.index();
-                let job = &jobs[j];
-                outcomes[j].finish_s = now;
-                outcomes[j].completed = true;
-                outcomes[j].iteration_s = if job.iterations > 0 {
-                    (now - outcomes[j].start_s) / job.iterations as f64
-                } else {
-                    0.0
-                };
-                shards.release(done.shard);
-                if let (Some(sim), Some(slot)) = (persist.as_mut(), done.slot) {
-                    sim.retire(slot);
-                }
-                if planned_mode {
-                    // The departed job's wiring stays plugged until another
-                    // job's migration tears it down.
-                    if let Some(topo) = &job.topology {
-                        for (_, e) in topo.edges() {
-                            stale_links.add_edge(
-                                done.servers[e.src],
-                                done.servers[e.dst],
-                                e.capacity_bps,
-                            );
-                        }
-                    }
-                }
-                admit_queued(
-                    jobs,
-                    params,
-                    shared_net.as_ref(),
-                    &mut persist,
-                    &mut shards,
-                    &mut provisioner,
-                    &mut stale_links,
-                    &mut queue,
-                    &mut running,
-                    &mut outcomes,
-                    now,
-                    &fault_log,
-                );
-                if let Some(net) = shared_net.as_ref() {
-                    match persist.as_mut() {
-                        Some(sim) => refresh_shared_rates_persistent(sim, &mut running, now),
-                        None => refresh_shared_rates_reference(
-                            jobs,
-                            net,
-                            &mut running,
-                            now,
-                            &mut ref_stats,
-                            &fault_log,
-                        ),
-                    }
-                }
+                c.depart(k, now);
+                c.admit_queued(now);
+                c.pricing.rerate(jobs, &mut c.running, now);
             }
             (Some(arr_t), _) => {
                 now = now.max(arr_t);
-                queue.push_back(order[next_arrival]);
+                c.queue.push_back(order[next_arrival]);
                 next_arrival += 1;
-                let admitted = admit_queued(
-                    jobs,
-                    params,
-                    shared_net.as_ref(),
-                    &mut persist,
-                    &mut shards,
-                    &mut provisioner,
-                    &mut stale_links,
-                    &mut queue,
-                    &mut running,
-                    &mut outcomes,
-                    now,
-                    &fault_log,
-                );
-                if admitted {
-                    if let Some(net) = shared_net.as_ref() {
-                        match persist.as_mut() {
-                            Some(sim) => refresh_shared_rates_persistent(sim, &mut running, now),
-                            None => refresh_shared_rates_reference(
-                                jobs,
-                                net,
-                                &mut running,
-                                now,
-                                &mut ref_stats,
-                                &fault_log,
-                            ),
-                        }
-                    }
+                if c.admit_queued(now) {
+                    c.pricing.rerate(jobs, &mut c.running, now);
                 }
             }
             (None, Some(_)) => unreachable!("departure arm above covers this"),
@@ -1094,14 +1186,14 @@ pub fn simulate_dynamic_cluster(
     }
 
     let truncated =
-        exhausted && (next_arrival < order.len() || !running.is_empty() || !queue.is_empty());
+        exhausted && (next_arrival < order.len() || !c.running.is_empty() || !c.queue.is_empty());
     debug_assert!(
         !truncated || params.window_cap.is_some(),
         "default event guard exhausted with work pending: each loop iteration \
          processes exactly one arrival or departure, so 4*jobs+faults+16 cannot run out"
     );
-    let engine_stats = persist.as_ref().map(|sim| sim.stats()).unwrap_or(ref_stats);
 
+    let outcomes = c.outcomes;
     let completed: Vec<&DynamicJobOutcome> = outcomes.iter().filter(|o| o.completed).collect();
     let mean = |f: &dyn Fn(&DynamicJobOutcome) -> f64| {
         if completed.is_empty() {
@@ -1117,7 +1209,7 @@ pub fn simulate_dynamic_cluster(
     };
     DynamicClusterResult {
         makespan_s: makespan,
-        flips: provisioner.flips,
+        flips: c.provisioner.flips,
         mean_jct_s: mean(&|o| o.jct_s()),
         p99_jct_s: percentile(&jcts, 0.99),
         mean_queue_delay_s: mean(&|o| o.queue_delay_s()),
@@ -1125,7 +1217,7 @@ pub fn simulate_dynamic_cluster(
         planned_transitions: transition(&|r| r.schedule.planned),
         fallback_transitions: transition(&|r| r.schedule.fallback.is_some()),
         truncated,
-        engine: engine_stats,
+        engine: c.pricing.stats(),
         jobs: outcomes,
     }
 }
@@ -1140,117 +1232,120 @@ fn settle_running(running: &mut [RunningJob], now: f64) {
     }
 }
 
-/// Admit queued jobs FIFO while shards are available. Infeasible requests —
-/// a size the cluster can never satisfy, or a job whose iteration time is
-/// undefined (no topology / unroutable transfers on a partitioned fabric) —
-/// are rejected on the spot instead of holding servers or blocking the
-/// queue head forever; they end the run with `completed: false`. Jobs with
-/// zero work depart the instant they start. Returns true if any job
-/// started.
-#[allow(clippy::too_many_arguments)]
-fn admit_queued(
-    jobs: &[DynamicJobSpec],
-    params: &DynamicClusterParams,
-    shared_net: Option<&SimNetwork>,
-    persist: &mut Option<SharedFabricEngine>,
-    shards: &mut ClusterShards,
-    provisioner: &mut LookaheadProvisioner,
-    stale_links: &mut Graph,
-    queue: &mut VecDeque<usize>,
-    running: &mut Vec<RunningJob>,
-    outcomes: &mut [DynamicJobOutcome],
-    now: f64,
-    fault_log: &[FaultEvent],
-) -> bool {
-    let mut admitted_any = false;
-    while let Some(&j) = queue.front() {
-        if jobs[j].servers == 0 || jobs[j].servers > shards.total_servers() {
-            // No future departure can make this allocatable: reject rather
-            // than head-of-line-block every job behind it.
-            queue.pop_front();
-            continue;
-        }
-        let Some((shard, servers)) = shards.allocate(jobs[j].servers) else { break };
-        queue.pop_front();
-        outcomes[j].admitted_s = now;
-
-        let (start, delay) = match params.fabric {
-            DynamicFabric::Partitioned => {
-                // The job's shard is disjoint from everyone else's, so its
-                // look-ahead ports started wiring at submission, hidden
-                // behind the queueing time; the flip costs whatever wiring
-                // is still outstanding when servers free up.
-                let schedule = match (&params.migration, &jobs[j].topology) {
-                    (MigrationMode::Planned(planner), Some(topo)) => {
-                        let previous = take_stale_shard(stale_links, &servers);
-                        planner(previous.as_ref(), topo)
-                    }
-                    _ => TransitionSchedule::atomic(params.provisioning_time_s),
-                };
-                provisioner.start_provisioning_for(schedule.total_s());
-                provisioner.advance((now - jobs[j].arrival_s).max(0.0));
-                let delay = provisioner.flip();
-                outcomes[j].rewiring = Some(TransitionRecord {
-                    wiring_started_s: jobs[j].arrival_s,
-                    schedule,
-                    residual_s: delay,
-                });
-                (now + delay, delay)
-            }
-            DynamicFabric::Shared(_) => (now, 0.0),
-        };
-        outcomes[j].switch_over_delay_s = delay;
-        outcomes[j].start_s = start;
-
-        let mut shared_flows: Option<Vec<FlowSpec>> = None;
-        let iter_s = match shared_net {
-            // Contended fabrics are re-rated for the whole co-resident set
-            // right after admission (see the refresh functions); seed with
-            // the solo estimate. The persistent engine probes feasibility
-            // on the job's own links instead of rebuilding the full
-            // fabric — bit-identical, rates only see span links.
-            Some(net) => match persist.as_mut() {
-                Some(sim) => {
-                    let flows = build_job_flows(net, &jobs[j].demands, &jobs[j].plans, &servers);
-                    let total = sim.solo_total_s(&flows, jobs[j].compute_s);
-                    shared_flows = Some(flows);
-                    total
+impl ClusterState<'_> {
+    /// Retire running job `k` at `now`: record its outcome, free its shard
+    /// and engine slot, and (planned mode) leave its wiring plugged.
+    fn depart(&mut self, k: usize, now: f64) {
+        settle_running(&mut self.running, now);
+        let done = self.running.swap_remove(k);
+        let j = done.job.index();
+        let job = &self.jobs[j];
+        let out = &mut self.outcomes[j];
+        out.finish_s = now;
+        out.completed = true;
+        out.iteration_s =
+            if job.iterations > 0 { (now - out.start_s) / job.iterations as f64 } else { 0.0 };
+        self.shards.release(done.shard);
+        self.pricing.retire(done.slot);
+        if matches!(self.params.migration, MigrationMode::Planned(_)) {
+            // The departed job's wiring stays plugged until another job's
+            // migration tears it down.
+            if let Some(topo) = &job.topology {
+                for (_, e) in topo.edges() {
+                    self.stale_links.add_edge(
+                        done.servers[e.src],
+                        done.servers[e.dst],
+                        e.capacity_bps,
+                    );
                 }
-                None => shared_iteration_s(net, &jobs[j], &servers, fault_log),
-            },
-            None => solo_iteration_s(&jobs[j], params.per_hop_latency_s),
-        };
-        if !iter_s.is_finite() {
-            // The job could train forever without finishing an iteration;
-            // release the shard instead of stranding it.
-            shards.release(shard);
-            continue;
+            }
         }
-        admitted_any = true;
-        if iter_s <= 0.0 || jobs[j].iterations == 0 {
-            // Zero work: depart the instant training would have started.
-            outcomes[j].finish_s = start;
-            outcomes[j].iteration_s = 0.0;
-            outcomes[j].completed = true;
-            shards.release(shard);
-            continue;
-        }
-        // Only jobs that will actually train become engine residents.
-        let slot = match (persist.as_mut(), shared_flows) {
-            (Some(sim), Some(flows)) => Some(sim.admit(flows, jobs[j].compute_s)),
-            _ => None,
-        };
-        running.push(RunningJob {
-            job: JobId::from_usize(j),
-            shard,
-            servers,
-            remaining_iters: jobs[j].iterations as f64,
-            iter_s,
-            settled_s: start,
-            slot,
-        });
     }
-    admitted_any
+
+    /// Admit queued jobs FIFO while shards are available. Infeasible
+    /// requests — a size the cluster can never satisfy, or a job whose
+    /// iteration time is undefined (no topology / unroutable transfers on a
+    /// partitioned fabric) — are rejected on the spot instead of holding
+    /// servers or blocking the queue head forever; they end the run with
+    /// `completed: false`, infinite times and no rewiring. A job is priced
+    /// before the patch panel moves, so a rejected one never flips it or
+    /// calls the planner. Jobs with zero work depart the instant they
+    /// start. Returns true if any job started.
+    fn admit_queued(&mut self, now: f64) -> bool {
+        let jobs = self.jobs;
+        let mut admitted_any = false;
+        while let Some(&j) = self.queue.front() {
+            let job = &jobs[j];
+            if job.servers == 0 || job.servers > self.shards.total_servers() {
+                // No future departure can make this allocatable: reject
+                // rather than head-of-line-block every job behind it.
+                self.queue.pop_front();
+                continue;
+            }
+            let Some((shard, servers)) = self.shards.allocate(job.servers) else { break };
+            self.queue.pop_front();
+            let probe = self.pricing.probe(job, &servers);
+            if !probe.iter_s.is_finite() {
+                // The job could train forever without finishing an
+                // iteration; release the shard instead of stranding it.
+                self.shards.release(shard);
+                continue;
+            }
+            admitted_any = true;
+            let delay = self.provision(j, &servers, now);
+            let start = now + delay;
+            let out = &mut self.outcomes[j];
+            out.admitted_s = now;
+            out.switch_over_delay_s = delay;
+            out.start_s = start;
+            if probe.iter_s <= 0.0 || job.iterations == 0 {
+                // Zero work: depart the instant training would have started.
+                out.finish_s = start;
+                out.iteration_s = 0.0;
+                out.completed = true;
+                self.shards.release(shard);
+                continue;
+            }
+            // Only jobs that will actually train become engine residents.
+            let iter_s = probe.iter_s;
+            let slot = self.pricing.admit(probe, job.compute_s);
+            self.running.push(RunningJob {
+                job: JobId::from_usize(j),
+                shard,
+                servers,
+                remaining_iters: job.iterations as f64,
+                iter_s,
+                settled_s: start,
+                slot,
+            });
+        }
+        admitted_any
+    }
+
+    /// Rewire job `j`'s freshly allocated shard and return the switch-over
+    /// delay it pays (0 on a shared fabric, which has no shards to rewire).
+    /// The shard is disjoint from everyone else's, so its look-ahead ports
+    /// started wiring at submission, hidden behind the queueing time; the
+    /// flip costs whatever wiring is still outstanding when servers free up.
+    fn provision(&mut self, j: usize, servers: &[usize], now: f64) -> f64 {
+        if !self.pricing.rewires_shards() {
+            return 0.0;
+        }
+        let job = &self.jobs[j];
+        let schedule = match (&self.params.migration, &job.topology) {
+            (MigrationMode::Planned(planner), Some(topo)) => {
+                let previous = take_stale_shard(&mut self.stale_links, servers);
+                planner(previous.as_ref(), topo)
+            }
+            _ => TransitionSchedule::atomic(self.params.provisioning_time_s),
+        };
+        self.provisioner.start_provisioning_for(schedule.total_s());
+        self.provisioner.advance((now - job.arrival_s).max(0.0));
+        let delay = self.provisioner.flip();
+        self.outcomes[j].rewiring =
+            Some(TransitionRecord { wiring_started_s: job.arrival_s, schedule, residual_s: delay });
+        delay
+    }
 }
 
 /// Extract the stale wiring sitting on a freshly allocated shard: every
@@ -1307,82 +1402,6 @@ pub fn solo_iteration_s(job: &DynamicJobSpec, per_hop_latency_s: f64) -> f64 {
         return f64::INFINITY;
     }
     job.compute_s + sim.makespan_s
-}
-
-/// Iteration time of a job alone on the shared fabric (used as the seed
-/// before the co-resident set is re-rated). Goes through the name-free
-/// [`shared_round_times_with_faults`] core: no `JobSpec` (and no job-name clone) is
-/// materialised per admission event.
-fn shared_iteration_s(
-    net: &SimNetwork,
-    job: &DynamicJobSpec,
-    servers: &[usize],
-    faults: &[FaultEvent],
-) -> f64 {
-    let flows = build_job_flows(net, &job.demands, &job.plans, servers);
-    let (r, _) = shared_round_times_with_faults(net, vec![flows], &[0.0], &[job.compute_s], faults);
-    r.per_job_total_s[0]
-}
-
-/// Window refresh on the persistent engine: settle progress, run one event
-/// window (only the components the arrival/departure touched re-rate), and
-/// read every resident's round time — cached or freshly simulated, the
-/// values are bit-identical to a full rebuild.
-fn refresh_shared_rates_persistent(
-    sim: &mut SharedFabricEngine,
-    running: &mut [RunningJob],
-    now: f64,
-) {
-    if running.is_empty() && !sim.has_pending_faults() {
-        // With pending faults the window still runs: the engine must
-        // absorb the new health state before the next admission probe.
-        return;
-    }
-    settle_running(running, now);
-    sim.run_window();
-    for r in running.iter_mut() {
-        r.iter_s = sim.round_total_s(r.slot.expect("shared-fabric resident without a slot"));
-    }
-}
-
-/// Rebuild-per-window reference: re-simulate the whole co-resident set on a
-/// fresh engine and refresh every running job's iteration time (progress
-/// must already be settled to `now`). Jobs are handled purely as [`JobId`]
-/// indices; kept as the equivalence oracle for the persistent path and as
-/// the bench baseline.
-fn refresh_shared_rates_reference(
-    jobs: &[DynamicJobSpec],
-    net: &SimNetwork,
-    running: &mut [RunningJob],
-    now: f64,
-    stats: &mut DynamicEngineStats,
-    faults: &[FaultEvent],
-) {
-    if running.is_empty() {
-        return;
-    }
-    settle_running(running, now);
-    let flows_by_job: Vec<Vec<FlowSpec>> = running
-        .iter()
-        .map(|r| {
-            let job = &jobs[r.job.index()];
-            build_job_flows(net, &job.demands, &job.plans, &r.servers)
-        })
-        .collect();
-    let arrivals = vec![0.0; running.len()];
-    let computes: Vec<f64> = running.iter().map(|r| jobs[r.job.index()].compute_s).collect();
-    let (result, engine) =
-        shared_round_times_rebuild(net, flows_by_job, &arrivals, &computes, faults);
-    stats.windows += 1;
-    stats.windows_rebuilt += 1;
-    stats.jobs_rerated += running.len();
-    stats.events += engine.events;
-    stats.waterfills += engine.waterfills;
-    stats.flows_rerated += engine.flows_rerated;
-    stats.max_component = stats.max_component.max(engine.max_component);
-    for (r, &iter_s) in running.iter_mut().zip(result.per_job_total_s.iter()) {
-        r.iter_s = iter_s;
-    }
 }
 
 #[cfg(test)]
@@ -1604,6 +1623,100 @@ mod tests {
         assert!(r.jobs[2].completed && r.jobs[2].finish_s == 0.0);
         assert!(r.jobs[3].completed, "a normal job must not starve behind infeasible ones");
         assert!(r.jobs[3].finish_s.is_finite() && r.jobs[3].finish_s > 0.0);
+    }
+
+    #[test]
+    fn rejected_jobs_are_never_provisioned() {
+        use std::sync::Mutex;
+        // a trains on all 8 servers and departs, leaving its ring plugged.
+        // Two infeasible jobs follow — one without a topology, one whose
+        // topology has no links — and b reuses the shard after them. The
+        // rejected jobs must not flip the panel, call the planner or unplug
+        // a's stale wiring, so b's migration still starts from a's ring.
+        type SeenWirings = Vec<Option<usize>>;
+        let seen: Arc<Mutex<SeenWirings>> = Arc::new(Mutex::new(Vec::new()));
+        let seen_cb = Arc::clone(&seen);
+        let mut no_topology = dynamic_job("no_topology", 8, 1.0e6, 2);
+        no_topology.topology = None;
+        let mut unroutable = dynamic_job("unroutable", 8, 1.0e6, 2);
+        unroutable.topology = Some(Graph::new(8));
+        let jobs = vec![
+            dynamic_job("a", 8, 0.0, 2),
+            no_topology,
+            unroutable,
+            dynamic_job("b", 8, 2.0e6, 2),
+        ];
+        let params = DynamicClusterParams {
+            total_servers: 8,
+            fabric: DynamicFabric::Partitioned,
+            provisioning_time_s: 0.3,
+            per_hop_latency_s: 0.0,
+            migration: MigrationMode::Planned(Arc::new(move |prev, target: &Graph| {
+                seen_cb.lock().unwrap().push(prev.map(Graph::num_edges));
+                TransitionSchedule::planned(vec![0.3 * target.num_edges() as f64 / 8.0])
+            })),
+            shared_engine: SharedEngineMode::Persistent,
+            window_cap: None,
+            faults: vec![],
+        };
+        let r = simulate_dynamic_cluster(&jobs, &params);
+        assert_eq!(r.flips, 2, "only the two admitted jobs flip the panel");
+        assert_eq!(*seen.lock().unwrap(), vec![None, Some(8)], "b migrates from a's stale ring");
+        for o in &r.jobs[1..3] {
+            assert!(!o.completed);
+            assert!(o.rewiring.is_none(), "{} was rewired", o.name);
+            assert_eq!(o.switch_over_delay_s, 0.0);
+            assert!(o.admitted_s.is_infinite() && o.start_s.is_infinite());
+            assert!(o.finish_s.is_infinite());
+        }
+        assert!(r.jobs[0].completed && r.jobs[3].completed);
+    }
+
+    #[test]
+    fn partitioned_fabric_ignores_faults() {
+        // Six 4-server jobs queue for 8 servers while 40 link failures fire
+        // between their arrivals and departures. Partitioned shards never
+        // see the shared fabric, so every outcome must match the fault-free
+        // run to the bit, whichever shared-engine mode is selected.
+        let jobs: Vec<DynamicJobSpec> =
+            (0..6).map(|i| dynamic_job(&format!("j{i}"), 4, 0.037 * i as f64, 3 + i % 3)).collect();
+        let faults: Vec<FaultInjection> = (0..40)
+            .map(|i| FaultInjection {
+                time_s: 0.0131 * i as f64,
+                event: FaultEvent::LinkDown((i % 8, (i + 1) % 8)),
+            })
+            .collect();
+        for mode in [SharedEngineMode::Persistent, SharedEngineMode::Rebuild] {
+            let params = |faults: Vec<FaultInjection>| DynamicClusterParams {
+                total_servers: 8,
+                fabric: DynamicFabric::Partitioned,
+                provisioning_time_s: 0.01,
+                per_hop_latency_s: 1.0e-6,
+                migration: MigrationMode::Atomic,
+                shared_engine: mode,
+                window_cap: None,
+                faults,
+            };
+            let clean = simulate_dynamic_cluster(&jobs, &params(vec![]));
+            let faulty = simulate_dynamic_cluster(&jobs, &params(faults.clone()));
+            assert!(clean.jobs.iter().all(|o| o.completed));
+            for (c, f) in clean.jobs.iter().zip(&faulty.jobs) {
+                for (a, b) in [
+                    (c.admitted_s, f.admitted_s),
+                    (c.start_s, f.start_s),
+                    (c.finish_s, f.finish_s),
+                    (c.iteration_s, f.iteration_s),
+                ] {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{} moved under faults: {a} vs {b}",
+                        c.name
+                    );
+                }
+            }
+            assert_eq!(clean, faulty);
+        }
     }
 
     #[test]
